@@ -258,6 +258,53 @@ TEST(AdversaryPinned, LineTrajectoryRegressionIncludingCycling) {
                  0xf20c121889b91d45ULL});
 }
 
+// ---- multi-level sum-tree pins --------------------------------------------
+
+// The pins above run n <= 72, i.e. at most three levels of an 8-ary sum
+// tree.  These runs are large enough that Fenwick::find/add walk six (the
+// ~10^5 accelerated runs) and five (the ~10^4 churn run) levels; every
+// literal was recorded from the implicit binary-indexed tree that preceded
+// the B-ary layout, so they prove the layout swap changed no bits.
+struct RunPin {
+  u64 interactions;
+  u64 productive_steps;
+  u64 hash;
+};
+
+void expect_run_pinned(const char* proto, u64 n, u64 seed, u64 budget,
+                       const Scheduler* sched, const RunPin& pin) {
+  ProtocolPtr p = make_protocol(proto, n);
+  Rng rng(seed);
+  p->reset(initial::uniform_random(*p, rng));
+  RunOptions opt;
+  opt.max_interactions = budget;
+  opt.scheduler = sched;
+  const RunResult r = run(*p, rng, opt);
+  EXPECT_EQ(r.interactions, pin.interactions) << proto << " n=" << n;
+  EXPECT_EQ(r.productive_steps, pin.productive_steps) << proto << " n=" << n;
+  EXPECT_EQ(counts_hash(p->counts()), pin.hash) << proto << " n=" << n;
+}
+
+TEST(LargeTreePinned, AcceleratedRingAndLineAtTenToTheFive) {
+  const u64 ring_n = preferred_population("ring-of-traps", 100000);
+  expect_run_pinned("ring-of-traps", ring_n, 2024, 200000 * ring_n, nullptr,
+                    {20'000'000'000, 110'301, 0x013a1f51138b3d19ULL});
+  const u64 line_n = preferred_population("line-of-traps", 100000);
+  expect_run_pinned("line-of-traps", line_n, 2025, 200000 * line_n, nullptr,
+                    {24'696'000'000, 117'382, 0x14cd84f3e22643e7ULL});
+}
+
+TEST(LargeTreePinned, ChurnUniformStateAtTenToTheFour) {
+  SchedulerSpec spec;
+  spec.kind = SchedulerKind::kChurn;
+  spec.churn_rate = 0.02;
+  spec.churn_reset = ChurnReset::kUniformState;
+  const u64 n = preferred_population("ring-of-traps", 10000);
+  const SchedulerPtr churn = make_scheduler(spec, n);
+  expect_run_pinned("ring-of-traps", n, 2026, 100 * n, churn.get(),
+                    {1'000'000, 100, 0xd1a2ffc92efe491fULL});
+}
+
 // ---- runner + sink wiring -------------------------------------------------
 
 TEST(AdversaryRunner, RunsThroughTheSchedulerPathAndNamesThePolicy) {
