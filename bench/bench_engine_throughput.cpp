@@ -6,15 +6,21 @@
 //   * uniform-step throughput (the naive engine's unit of work),
 //   * full stabilisation wall-time, accelerated vs uniform — the speedup
 //     that makes the Θ(n^2)-time protocols benchable at all,
+//   * Fenwick::find / Fenwick::add at 10^3 .. 10^7 slots — one row per
+//     cache regime (L1, L2, L3, DRAM) of the sum tree under every engine,
 //   * Monte-Carlo trial throughput, legacy serial harness vs the parallel
 //     runner at 1/2/4/8 threads (compare the "trials/s" counters; on a
 //     machine with >= 8 cores the 8-thread runner should be >= 3x the
 //     serial path — the fan-out is embarrassingly parallel).
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
 #include "analysis/experiment.hpp"
 #include "core/engine.hpp"
 #include "core/initial.hpp"
+#include "ds/fenwick.hpp"
 #include "protocols/factory.hpp"
 #include "runner/runner.hpp"
 
@@ -108,6 +114,56 @@ BENCHMARK_CAPTURE(BM_StabiliseUniform, ag, "ag")->Arg(256)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_StabiliseAccelerated, tree, "tree-ranking")->Arg(4096)
     ->Unit(benchmark::kMillisecond);
+
+// ---- the sum tree alone, at every cache size -----------------------------
+
+constexpr u64 kFenwickOps = u64{1} << 16;  ///< pre-drawn random operands
+
+/// A tree of n weights in 0..3 (small, like the count vector of a uniform
+/// random start, ~1/4 zeros), plus kFenwickOps random find targets and
+/// update slots, so the timed loop is tree traffic only.
+struct FenwickFixture {
+  Fenwick tree;
+  std::vector<u64> targets;
+  std::vector<u64> slots;
+
+  explicit FenwickFixture(u64 n) : targets(kFenwickOps), slots(kFenwickOps) {
+    Rng rng(5);
+    std::vector<u64> weights(n);
+    for (u64& w : weights) w = rng.below(4);
+    tree.assign(std::move(weights));
+    for (u64 k = 0; k < kFenwickOps; ++k) {
+      targets[k] = rng.below(tree.total());
+      slots[k] = rng.below(n);
+    }
+  }
+};
+
+void BM_FenwickFind(benchmark::State& state) {
+  const FenwickFixture f(static_cast<u64>(state.range(0)));
+  u64 k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.tree.find(f.targets[k]));
+    k = (k + 1) & (kFenwickOps - 1);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+
+/// One add(+1) and its add(-1) per iteration, so the weights stay put.
+void BM_FenwickAdd(benchmark::State& state) {
+  FenwickFixture f(static_cast<u64>(state.range(0)));
+  u64 k = 0;
+  for (auto _ : state) {
+    f.tree.add(f.slots[k], +1);
+    f.tree.add(f.slots[k], -1);
+    k = (k + 1) & (kFenwickOps - 1);
+  }
+  benchmark::DoNotOptimize(f.tree.total());
+  state.SetItemsProcessed(static_cast<int64_t>(2 * state.iterations()));
+}
+
+BENCHMARK(BM_FenwickFind)->RangeMultiplier(10)->Range(1000, 10000000);
+BENCHMARK(BM_FenwickAdd)->RangeMultiplier(10)->Range(1000, 10000000);
 
 // ---- Monte-Carlo trial throughput: serial harness vs parallel runner ----
 

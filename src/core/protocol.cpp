@@ -3,6 +3,12 @@
 #include "common/assert.hpp"
 
 namespace pp {
+namespace {
+
+// Ordered pairs of distinct agents within one state of count c.
+u64 pair_weight(u64 c) { return c * (c - (c > 0 ? 1 : 0)); }
+
+}  // namespace
 
 Protocol::Protocol(u64 num_agents, u64 num_ranks, u64 num_extra)
     : n_agents_(num_agents),
@@ -10,9 +16,6 @@ Protocol::Protocol(u64 num_agents, u64 num_ranks, u64 num_extra)
       n_states_(num_ranks + num_extra) {
   PP_ASSERT_MSG(n_agents_ >= 2, "need at least two agents to interact");
   PP_ASSERT_MSG(n_ranks_ >= 1, "need at least one rank state");
-  counts_.assign(n_states_, 0);
-  rank_weight_.reset(n_ranks_);
-  count_all_.reset(n_states_);
 }
 
 void Protocol::reset(const Configuration& c) {
@@ -22,14 +25,11 @@ void Protocol::reset(const Configuration& c) {
                 "configuration has wrong number of agents");
   PP_ASSERT_MSG(rules_.size() == n_ranks_,
                 "derived protocol did not install its rule table");
-  counts_ = c.counts;
-  rank_weight_.reset(n_ranks_);
-  count_all_.reset(n_states_);
-  for (StateId s = 0; s < n_states_; ++s) {
-    if (counts_[s] == 0) continue;
-    count_all_.set(s, counts_[s]);
-    if (s < n_ranks_) rank_weight_.set(s, counts_[s] * (counts_[s] - 1));
-  }
+  // One linear build per tree, in place: a second reset() of the same
+  // protocol reuses the storage instead of holding two trees at once.
+  const std::vector<u64>& k = c.counts;
+  count_all_.assign(n_states_, [&](u64 s) { return k[s]; });
+  rank_weight_.assign(n_ranks_, [&](u64 s) { return pair_weight(k[s]); });
   on_reset();
 }
 
@@ -37,20 +37,16 @@ void Protocol::mutate(StateId s, i64 delta) {
   PP_DCHECK(s < n_states_);
   if (delta == 0) return;
   if (delta < 0) {
-    PP_ASSERT_MSG(counts_[s] >= static_cast<u64>(-delta),
+    PP_ASSERT_MSG(count(s) >= static_cast<u64>(-delta),
                   "mutate would drive a state count negative");
   }
-  counts_[s] = static_cast<u64>(static_cast<i64>(counts_[s]) + delta);
   count_all_.add(s, delta);
-  if (s < n_ranks_) {
-    const u64 c = counts_[s];
-    rank_weight_.set(s, c * (c - (c > 0 ? 1 : 0)));
-  }
+  if (s < n_ranks_) rank_weight_.set(s, pair_weight(count(s)));
 }
 
 void Protocol::apply_rank_rule(StateId s) {
   PP_DCHECK(s < n_ranks_);
-  PP_DCHECK(counts_[s] >= 2);
+  PP_DCHECK(count(s) >= 2);
   const Rule r = rules_[s];
   mutate(s, -2);
   mutate(r.out1, +1);
@@ -89,8 +85,8 @@ bool Protocol::step_uniform(Rng& rng) {
 std::pair<StateId, StateId> Protocol::apply_pair(StateId initiator,
                                                  StateId responder) {
   PP_DCHECK(initiator < n_states_ && responder < n_states_);
-  PP_DCHECK(counts_[initiator] >= 1);
-  PP_DCHECK(counts_[responder] >=
+  PP_DCHECK(count(initiator) >= 1);
+  PP_DCHECK(count(responder) >=
             (initiator == responder ? static_cast<u64>(2) : 1));
   const auto [i2, r2] = transition(initiator, responder);
   if (i2 == initiator && r2 == responder) return {initiator, responder};

@@ -59,11 +59,14 @@ class Protocol {
 
   /// Loads a starting configuration (any arrangement of num_agents() agents
   /// over num_states() states — this is a *self-stabilising* protocol).
+  /// Must precede every call that reads or changes the configuration: a
+  /// constructed protocol holds no configuration (and no trees) yet.
   void reset(const Configuration& c);
 
-  /// Current configuration as per-state counts.
-  const std::vector<u64>& counts() const { return counts_; }
-  Configuration configuration() const { return Configuration(counts_); }
+  /// Current configuration as per-state counts (the leaves of the count
+  /// tree; no separate copy is kept).
+  const std::vector<u64>& counts() const { return count_all_.weights(); }
+  Configuration configuration() const { return Configuration(counts()); }
 
   /// Number of ordered agent pairs whose interaction changes the
   /// configuration.
@@ -211,7 +214,7 @@ class Protocol {
   void mutate(StateId s, i64 delta);
   /// Fires the same-state rule of rank state s (two agents in s interact).
   void apply_rank_rule(StateId s);
-  u64 count(StateId s) const { return counts_[s]; }
+  u64 count(StateId s) const { return count_all_.get(s); }
   /// Total number of agents currently in rank states.
   u64 rank_agents() const { return count_all_.prefix(n_ranks_); }
   /// Samples a rank state with probability proportional to its count;
@@ -224,9 +227,8 @@ class Protocol {
   u64 n_agents_;
   u64 n_ranks_;
   u64 n_states_;
-  std::vector<u64> counts_;
   Fenwick rank_weight_;  // rank states: c_s * (c_s - 1)
-  Fenwick count_all_;    // all states: c_s
+  Fenwick count_all_;    // all states: c_s (the leaves are counts())
 };
 
 using ProtocolPtr = std::unique_ptr<Protocol>;

@@ -1,9 +1,11 @@
-// Unit tests for the Fenwick tree with weighted sampling.
+// Unit tests for the Fenwick tree (a cache-line B-ary sum tree) with
+// weighted sampling.
 #include "ds/fenwick.hpp"
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "rng/random.hpp"
@@ -153,6 +155,179 @@ TEST(Fenwick, AssignMatchesPointwiseConstruction) {
       EXPECT_EQ(bulk.find(bulk.total() - 1), pointwise.find(bulk.total() - 1));
     }
   }
+}
+
+// ---- differential test at every tree-shape boundary -----------------------
+
+// Every size 1..600 (leaf level only, then 2 and 3 levels, every partial
+// last group), plus 8^k - 1, 8^k and 8^k + 1 for k <= 5 (one level more or
+// less, a full or a one-entry top group).
+std::vector<u64> boundary_sizes() {
+  std::vector<u64> sizes;
+  for (u64 n = 1; n <= 600; ++n) sizes.push_back(n);
+  for (u64 p = 8 * 8 * 8 * 8; p <= 8 * 8 * 8 * 8 * 8; p *= 8) {
+    sizes.insert(sizes.end(), {p - 1, p, p + 1});
+  }
+  return sizes;
+}
+
+// Checks every observable of `f` against the naive weight vector: size,
+// total, get, prefix at every index (prefix(size()) == total() included),
+// and find at both ends of every positive slot's target range — which
+// also proves find never returns a zero-weight slot.
+void expect_matches(const Fenwick& f, const std::vector<u64>& naive,
+                    u64 size) {
+  ASSERT_EQ(f.size(), naive.size()) << size;
+  u64 cum = 0;
+  for (u64 i = 0; i <= naive.size(); ++i) {
+    ASSERT_EQ(f.prefix(i), cum) << size << " prefix " << i;
+    if (i == naive.size()) break;
+    ASSERT_EQ(f.get(i), naive[i]) << size << " get " << i;
+    if (naive[i] > 0) {
+      ASSERT_EQ(f.find(cum), i) << size << " find " << cum;
+      ASSERT_EQ(f.find(cum + naive[i] - 1), i) << size;
+    }
+    cum += naive[i];
+  }
+  ASSERT_EQ(f.total(), cum) << size;
+  ASSERT_EQ(f.prefix(f.size()), f.total()) << size;
+  ASSERT_EQ(f.weights(), naive) << size;
+}
+
+u64 naive_find(const std::vector<u64>& w, u64 target) {
+  u64 i = 0;
+  while (w[i] <= target) target -= w[i++];
+  return i;
+}
+
+TEST(Fenwick, BoundaryDifferentialAgainstNaivePrefixes) {
+  Rng rng(2026);
+  for (const u64 size : boundary_sizes()) {
+    // A quarter of the slots start at zero; one in eight is large, so
+    // partial sums carry into high bits.
+    std::vector<u64> naive(size);
+    for (u64& w : naive) {
+      const u64 kind = rng.below(8);
+      w = kind < 2 ? 0 : kind == 7 ? rng.below(u64{1} << 40) : rng.below(9);
+    }
+    Fenwick f;
+    f.assign(naive);
+    ASSERT_NO_FATAL_FAILURE(expect_matches(f, naive, size));
+    const u64 ops = size <= 600 ? 48 : 512;
+    for (u64 op = 0; op < ops; ++op) {
+      const u64 i = rng.below(size);
+      switch (rng.below(6)) {
+        case 0: {  // add, either sign
+          const i64 delta = rng.below(2) == 0
+                                ? static_cast<i64>(rng.below(100))
+                                : -static_cast<i64>(rng.below(naive[i] + 1));
+          f.add(i, delta);
+          naive[i] = static_cast<u64>(static_cast<i64>(naive[i]) + delta);
+          break;
+        }
+        case 1: {  // set, often to zero
+          const u64 w = rng.below(3) == 0 ? 0 : rng.below(1000);
+          f.set(i, w);
+          naive[i] = w;
+          break;
+        }
+        case 2: {  // prefix at any index, the end included
+          const u64 q = rng.below(size + 1);
+          u64 expect = 0;
+          for (u64 j = 0; j < q; ++j) expect += naive[j];
+          ASSERT_EQ(f.prefix(q), expect) << size << " prefix " << q;
+          break;
+        }
+        case 3: {  // rebuild, through either assign overload
+          if (rng.below(2) == 0) {
+            f.assign(naive);
+          } else {
+            f.assign(size, [&](u64 j) { return naive[j]; });
+          }
+          break;
+        }
+        default: {  // find
+          if (f.total() == 0) break;
+          const u64 t = rng.below(f.total());
+          const u64 got = f.find(t);
+          ASSERT_EQ(got, naive_find(naive, t)) << size << " find " << t;
+          ASSERT_GT(naive[got], 0u) << size;
+          break;
+        }
+      }
+      ASSERT_EQ(f.prefix(size), f.total()) << size;
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_matches(f, naive, size));
+  }
+}
+
+TEST(Fenwick, AssignInPlaceReusesAcrossSizes) {
+  // The in-place overload rebuilds a live tree of another size (larger,
+  // then smaller) exactly like a fresh assign of the same weights.
+  Fenwick f(5000);
+  for (const u64 size : {9u, 4097u, 65u, 1u, 600u}) {
+    std::vector<u64> w(size);
+    for (u64 i = 0; i < size; ++i) w[i] = (i * 7) % 5;
+    f.assign(size, [&](u64 i) { return w[i]; });
+    ASSERT_NO_FATAL_FAILURE(expect_matches(f, w, size));
+  }
+}
+
+// ---- range guard ------------------------------------------------------------
+
+TEST(Fenwick, TotalAtTheCapIsSampledExactly) {
+  // 2^63 - 1 is the largest total: both ends of the range resolve.
+  Fenwick f;
+  f.assign({Fenwick::kMaxTotal - 1, 0, 1});
+  EXPECT_EQ(f.total(), Fenwick::kMaxTotal);
+  EXPECT_EQ(f.find(0), 0u);
+  EXPECT_EQ(f.find(Fenwick::kMaxTotal - 2), 0u);
+  EXPECT_EQ(f.find(Fenwick::kMaxTotal - 1), 2u);
+  // Many large slots over several levels, just under the cap.
+  std::vector<u64> big(100, u64{1} << 56);
+  f.assign(big);
+  EXPECT_EQ(f.total(), 100 * (u64{1} << 56));
+  EXPECT_EQ(f.find(f.total() - 1), 99u);
+  EXPECT_EQ(f.prefix(64), 64 * (u64{1} << 56));
+}
+
+TEST(Fenwick, OverflowPastTheCapIsFatal) {
+  // Weights near 2^63, the pair-sampler limit (schedulers/pair_sampler.cpp):
+  // a total past 2^63 - 1 must die loudly, never wrap.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const u64 half = u64{1} << 62;
+  const char* kMsg = "Fenwick total weight exceeds";
+  EXPECT_DEATH(
+      {
+        Fenwick f;
+        f.assign({half, half});  // exactly 2^63
+      },
+      kMsg);
+  EXPECT_DEATH(
+      {
+        Fenwick f;
+        f.assign({u64{1} << 63, u64{1} << 63});  // wraps u64 to 0
+      },
+      kMsg);
+  EXPECT_DEATH(
+      {
+        Fenwick f;
+        f.assign(20, [](u64) { return u64{1} << 60; });  // 20 * 2^60
+      },
+      kMsg);
+  EXPECT_DEATH(
+      {
+        Fenwick f(3);
+        f.set(0, Fenwick::kMaxTotal);
+        f.add(2, 1);
+      },
+      kMsg);
+  EXPECT_DEATH(
+      {
+        Fenwick f(3);
+        f.set(1, u64{1} << 63);
+      },
+      kMsg);
 }
 
 TEST(Fenwick, SamplingIsProportional) {
