@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "obs/provenance.hpp"
 #include "protocols/factory.hpp"
 #include "service/coordinator.hpp"
 #include "service/worker.hpp"
@@ -110,19 +109,10 @@ Context init(int argc, char** argv, const std::string& experiment_id,
 TrialSet run_trials_ctx(const Context& ctx, const TrialSpec& spec,
                         const RunnerOptions& opt) {
   if (ctx.cache_dir.empty()) return run_trials(spec, opt, *ctx.pool);
-  if (!obs::spec_is_replayable(spec)) {
-    // The service ships specs to worker processes via the canonical
-    // provenance serialisation; an explicit factory / custom generator
-    // cannot travel that way.  Reported, never silent.
-    std::fprintf(stderr,
-                 "[service] %s: spec not replayable, running in-process\n",
-                 spec.label.c_str());
-    return run_trials(spec, opt, *ctx.pool);
-  }
   service::ServiceOptions sopt;
   sopt.workers = ctx.service_workers;
   sopt.cache_dir = ctx.cache_dir;
-  return service::run_trials_sharded(spec, opt, sopt);
+  return service::run_trials_sharded(spec, opt, sopt, *ctx.pool);
 }
 
 TrialSpec make_spec(const std::string& label, u64 n,

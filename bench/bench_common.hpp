@@ -15,7 +15,8 @@
 //   --cache-dir=D / POPRANK_CACHE_DIR   chunk-result cache root: points are
 //                                    split into chunks, cached on disk and
 //                                    resumed across invocations
-//                                    (src/service/)
+//                                    (src/service/); missing chunks run
+//                                    on the --threads pool
 //   --service-workers=K / POPRANK_SERVICE_WORKERS   fan chunk computation
 //                                    out to K re-exec'd worker processes
 //                                    (requires --cache-dir; results stay
@@ -135,9 +136,9 @@ RunnerOptions runner_options(const Context& ctx, u64 trials);
 
 /// The context-aware trial dispatcher every bench measurement point goes
 /// through: plain run_trials() on the context pool normally, the sharded
-/// service (run_trials_sharded: chunk cache + optional worker processes)
-/// when --cache-dir is set and the spec is replayable.  Non-replayable
-/// specs under an active cache fall back in-process with a stderr note —
+/// service (run_trials_sharded: chunk cache + optional worker processes,
+/// misses on the context pool) when --cache-dir is set.  The service runs
+/// non-replayable specs uncached on the same pool, with a stderr note —
 /// never silently.  Results are bit-identical either way.
 TrialSet run_trials_ctx(const Context& ctx, const TrialSpec& spec,
                         const RunnerOptions& opt);

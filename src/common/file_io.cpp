@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
@@ -43,8 +44,12 @@ bool append_line(const std::string& path, std::string_view line) {
 }
 
 bool write_file_atomic(const std::string& path, std::string_view content) {
+  // The pid separates processes, the counter separates threads of one
+  // process writing the same path: each writer renames its own file.
+  static std::atomic<unsigned long long> next_tmp{0};
   const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+      path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
+      std::to_string(next_tmp.fetch_add(1, std::memory_order_relaxed));
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
   const bool ok = write_all(fd, content);

@@ -13,10 +13,12 @@
 //    ofstream in app mode flushes its buffer in unspecified slices and
 //    gives no such guarantee.)
 //
-//  * write_file_atomic(): write to `<path>.tmp.<pid>` then rename(2)
-//    into place.  Readers observe either the old file or the complete
-//    new one, never a torn prefix — the discipline behind the service's
-//    chunk-result cache and its lease-free idempotent retries.
+//  * write_file_atomic(): write to `<path>.tmp.<pid>.<n>` (n a
+//    per-process counter, so threads writing one path never share a temp
+//    file) then rename(2) into place.  Readers observe either the old
+//    file or the complete new one, never a torn prefix — the discipline
+//    behind the service's chunk-result cache and its lease-free
+//    idempotent retries.
 #pragma once
 
 #include <optional>

@@ -1,6 +1,7 @@
 #include "runner/runner.hpp"
 
 #include <chrono>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "core/initial.hpp"
@@ -174,29 +175,42 @@ TrialRange run_trial_range(const TrialSpec& spec, u64 master_seed, u64 begin,
   return out;
 }
 
-TrialSet run_trials(const TrialSpec& spec, const RunnerOptions& opt,
-                    ThreadPool& pool) {
-  PP_ASSERT(opt.trials >= 1);
+std::vector<TrialRange> run_trial_ranges(
+    const TrialSpec& spec, u64 master_seed,
+    const std::vector<std::pair<u64, u64>>& ranges, ThreadPool& pool) {
   obs::init_from_env();  // POPRANK_TRACE / POPRANK_TRACE_TRIAL, idempotent
-  const SeedStream seeds(opt.master_seed, spec.label);
+  const SeedStream seeds(master_seed, spec.label);
 
-  // One scheduler for the whole set: Scheduler::run is const and all
+  // Flatten the ranges into one index space, range by range in trial
+  // order, so the pool hands out single trials: stabilisation times vary
+  // by orders of magnitude, and per-range tasks would idle threads behind
+  // one long range.
+  std::vector<TrialRange> out(ranges.size());
+  std::vector<std::pair<u64, TrialRecord*>> slots;  // (trial, its record)
+  for (u64 r = 0; r < ranges.size(); ++r) {
+    const auto [begin, end] = ranges[r];
+    PP_ASSERT(begin <= end);
+    out[r].begin = begin;
+    out[r].end = end;
+    out[r].records.resize(end - begin);
+    for (u64 t = begin; t < end; ++t) {
+      slots.emplace_back(t, &out[r].records[t - begin]);
+    }
+  }
+  const u64 total = slots.size();
+
+  // One scheduler for every range: Scheduler::run is const and all
   // per-run state is local, so threads can share the instance.
   SchedulerPtr shared_scheduler;
-  if (spec.engine == EngineKind::kScheduled) {
+  if (spec.engine == EngineKind::kScheduled && total > 0) {
     const ProtocolPtr probe = spec.resolve_factory()();
     shared_scheduler = make_scheduler(spec.scheduler, probe->num_agents());
   }
 
-  TrialSet out;
-  out.threads = pool.size();
-  out.master_seed = opt.master_seed;
-  out.records.resize(opt.trials);
-
 #if PP_OBS
   // One counter block per trial (merged in trial order below); skipped
   // entirely when the layer is compiled out.
-  std::vector<obs::CounterBlock> blocks(opt.trials);
+  std::vector<obs::CounterBlock> blocks(total);
   obs::CounterBlock* const blocks_data = blocks.data();
 #else
   obs::CounterBlock* const blocks_data = nullptr;
@@ -205,22 +219,49 @@ TrialSet run_trials(const TrialSpec& spec, const RunnerOptions& opt,
   // Heartbeat / stall watchdog, armed only via the environment
   // (POPRANK_HEARTBEAT / POPRANK_STALL_TIMEOUT).
   obs::ProgressMonitor monitor(
-      obs::watchdog_options_from_env(spec.label, opt.trials, spec.n));
+      obs::watchdog_options_from_env(spec.label, total, spec.n));
+
+  // Each trial writes only its own record slot and counter block; no
+  // cross-thread state.  The shared spec is read-only (resolve_factory()
+  // copies what it captures).
+  pool.parallel_for(total, [&](u64 i) {
+    const auto [t, record] = slots[i];
+    monitor.trial_started(t);
+    *record =
+        run_one_trial_impl(spec, t, seeds.trial_seed(t),
+                           shared_scheduler.get(),
+                           blocks_data == nullptr ? nullptr : blocks_data + i);
+    monitor.trial_finished(t, record->interactions);
+  });
+
+#if PP_OBS
+  // Deterministic merge: trial-index order within each range, never
+  // completion order.
+  u64 i = 0;
+  for (TrialRange& range : out) {
+    for (u64 t = range.begin; t < range.end; ++t) {
+      range.counters.merge(blocks[i++]);
+    }
+  }
+#endif
+  return out;
+}
+
+TrialSet run_trials(const TrialSpec& spec, const RunnerOptions& opt,
+                    ThreadPool& pool) {
+  PP_ASSERT(opt.trials >= 1);
+  TrialSet out;
+  out.threads = pool.size();
+  out.master_seed = opt.master_seed;
 
   // wall_seconds / trials_per_sec are documented as outside the
   // determinism contract, hence:
   // poprank-lint: allow(R1): wall-clock throughput bookkeeping only
   const auto t0 = std::chrono::steady_clock::now();
-  // Each trial writes only records[t]; no cross-thread state.  The shared
-  // spec is read-only (resolve_factory() copies what it captures).
-  pool.parallel_for(opt.trials, [&](u64 t) {
-    monitor.trial_started(t);
-    out.records[t] =
-        run_one_trial_impl(spec, t, seeds.trial_seed(t),
-                           shared_scheduler.get(),
-                           blocks_data == nullptr ? nullptr : blocks_data + t);
-    monitor.trial_finished(t, out.records[t].interactions);
-  });
+  TrialRange all =
+      std::move(run_trial_ranges(spec, opt.master_seed, {{0, opt.trials}},
+                                 pool)
+                    .front());
   // poprank-lint: allow(R1): ditto — throughput bookkeeping only.
   const auto t1 = std::chrono::steady_clock::now();
   out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();  // poprank-lint: allow(R1)
@@ -230,10 +271,9 @@ TrialSet run_trials(const TrialSpec& spec, const RunnerOptions& opt,
 
   // Deterministic aggregation: fold in trial-index order, never in
   // completion order.
+  out.records = std::move(all.records);
+  out.counters = std::move(all.counters);
   for (const TrialRecord& r : out.records) out.stats.fold(r);
-#if PP_OBS
-  for (const obs::CounterBlock& b : blocks) out.counters.merge(b);
-#endif
   if (!opt.keep_records) {
     out.records.clear();
     out.records.shrink_to_fit();

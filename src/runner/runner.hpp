@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiment.hpp"
@@ -165,16 +166,29 @@ struct TrialRange {
   obs::CounterBlock counters;
 };
 
-/// Runs trials [begin, end) of `spec` serially on the calling thread with
-/// the standard derive_seed(master_seed, label, trial) derivation — the
-/// same kernel run_trials() fans out, sharing one scheduler across the
-/// range the same way.  Because a trial's stream depends only on
-/// (master_seed, label, trial), folding the records of any partition of
-/// [0, trials) back together in trial-index order reproduces a
-/// single-process run_trials() bit for bit; that property is what makes
-/// results *machine-count* independent, not just thread-count independent.
-/// `after_trial(t)` (optional) fires after each trial completes — the
-/// service worker's lease-heartbeat hook.
+/// Runs every trial of the half-open ranges [first, second) of `spec` on
+/// `pool` and returns one TrialRange per input range, in input order —
+/// the one pooled fan-out kernel (run_trials() is its single-range case,
+/// the service's in-process miss pass its many-range case).  Trial t is
+/// seeded derive_seed(master_seed, label, t), the pool hands out single
+/// trials across all ranges, one scheduler is shared by all of them, and
+/// each range's counters merge its per-trial blocks in trial order.
+/// Because a trial's stream depends only on (master_seed, label, t),
+/// folding the ranges of any partition of [0, trials) back together in
+/// trial-index order reproduces run_trials() bit for bit, for every pool
+/// size; that is what makes cached and sharded results identical to
+/// uncached ones.  Ranges may be empty or non-contiguous; they must not
+/// overlap.  Arms the ProgressMonitor (POPRANK_HEARTBEAT /
+/// POPRANK_STALL_TIMEOUT) over the trials it runs.
+std::vector<TrialRange> run_trial_ranges(
+    const TrialSpec& spec, u64 master_seed,
+    const std::vector<std::pair<u64, u64>>& ranges, ThreadPool& pool);
+
+/// Runs trials [begin, end) of `spec` serially on the calling thread —
+/// the same trials run_trial_ranges() computes for that range, bit for
+/// bit, with `after_trial(t)` (optional) fired after each trial completes:
+/// the service worker's lease-heartbeat hook, and the only reason this
+/// serial path exists.
 TrialRange run_trial_range(const TrialSpec& spec, u64 master_seed, u64 begin,
                            u64 end,
                            const std::function<void(u64)>& after_trial = {});

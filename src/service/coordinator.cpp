@@ -7,6 +7,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -70,12 +71,13 @@ std::string job_file_content(const TrialSpec& spec, const RunnerOptions& opt,
   return out;
 }
 
-/// Plain in-process runner with the service bookkeeping attached — the
-/// path for non-replayable specs and disabled caches.
+/// Plain in-process runner on the caller's pool with the service
+/// bookkeeping attached — the path for non-replayable specs and disabled
+/// caches.
 TrialSet run_fallback(const TrialSpec& spec, const RunnerOptions& opt,
-                      ServiceReport* rep) {
+                      ThreadPool& pool, ServiceReport* rep) {
   rep->fallback_in_process = true;
-  return run_trials(spec, opt);
+  return run_trials(spec, opt, pool);
 }
 
 }  // namespace
@@ -88,7 +90,7 @@ void normalize_throughput(TrialSet* set) {
 }
 
 TrialSet run_trials_sharded(const TrialSpec& spec, const RunnerOptions& opt,
-                            const ServiceOptions& sopt,
+                            const ServiceOptions& sopt, ThreadPool& pool,
                             ServiceReport* report) {
   PP_ASSERT(opt.trials >= 1);
   obs::init_from_env();
@@ -96,7 +98,7 @@ TrialSet run_trials_sharded(const TrialSpec& spec, const RunnerOptions& opt,
   ServiceReport* const rep = report != nullptr ? report : &local;
   *rep = ServiceReport{};
 
-  if (sopt.cache_dir.empty()) return run_fallback(spec, opt, rep);
+  if (sopt.cache_dir.empty()) return run_fallback(spec, opt, pool, rep);
   if (!obs::spec_is_replayable(spec)) {
     // An explicit factory / custom generator cannot be shipped to a
     // worker process via the canonical serialisation; say so and run the
@@ -104,7 +106,7 @@ TrialSet run_trials_sharded(const TrialSpec& spec, const RunnerOptions& opt,
     std::fprintf(stderr,
                  "[service] %s: spec not replayable, running in-process\n",
                  spec.label.c_str());
-    return run_fallback(spec, opt, rep);
+    return run_fallback(spec, opt, pool, rep);
   }
 
   const u64 t0_us = obs::now_us();
@@ -145,21 +147,7 @@ TrialSet run_trials_sharded(const TrialSpec& spec, const RunnerOptions& opt,
     }
   }
 
-  if (remaining > 0 && sopt.workers == 0) {
-    // No fan-out requested: compute misses right here, still feeding the
-    // cache so the next invocation resumes.
-    for (ChunkState& s : state) {
-      if (s.done) continue;
-      s.range = run_trial_range(spec, opt.master_seed, s.chunk.begin,
-                                s.chunk.end);
-      store_chunk(chunks_dir, s.key_material, s.chunk, s.range);
-      s.done = true;
-      ++rep->inprocess_chunks;
-    }
-    remaining = 0;
-  }
-
-  if (remaining > 0) {
+  if (remaining > 0 && sopt.workers != 0) {
     // Job state lives under its own id so concurrent invocations sharing
     // the cache never collide on leases.
     char id_buf[32];
@@ -252,20 +240,13 @@ TrialSet run_trials_sharded(const TrialSpec& spec, const RunnerOptions& opt,
         }
       }
 
-      // Fail-safe: fleet gone (or wedged past the stall limit) — finish
-      // the remaining chunks in-process.  Idempotent stores make this
-      // safe even if a zombie worker later writes the same chunks.
+      // Fail-safe: fleet gone (or wedged past the stall limit) — leave
+      // the remaining chunks to the in-process pass below.  Idempotent
+      // stores make this safe even if a zombie worker later writes the
+      // same chunks.
       if (!any_alive ||
           now - last_progress_us > sopt.stall_timeout_ms * 1000) {
-        for (ChunkState& s : state) {
-          if (s.done) continue;
-          s.range = run_trial_range(spec, opt.master_seed, s.chunk.begin,
-                                    s.chunk.end);
-          store_chunk(chunks_dir, s.key_material, s.chunk, s.range);
-          s.done = true;
-          ++rep->inprocess_chunks;
-        }
-        remaining = 0;
+        break;
       }
     }
 
@@ -279,13 +260,35 @@ TrialSet run_trials_sharded(const TrialSpec& spec, const RunnerOptions& opt,
     }
   }
 
+  // Misses no worker computed — all of them without a fleet, the fleet's
+  // leftovers after its fail-safe — run on the caller's pool in one pass,
+  // still feeding the cache so the next invocation resumes.
+  if (remaining > 0) {
+    std::vector<ChunkState*> todo;
+    std::vector<std::pair<u64, u64>> bounds;
+    for (ChunkState& s : state) {
+      if (s.done) continue;
+      todo.push_back(&s);
+      bounds.emplace_back(s.chunk.begin, s.chunk.end);
+    }
+    std::vector<TrialRange> ranges =
+        run_trial_ranges(spec, opt.master_seed, bounds, pool);
+    for (u64 i = 0; i < todo.size(); ++i) {
+      ChunkState& s = *todo[i];
+      s.range = std::move(ranges[i]);
+      store_chunk(chunks_dir, s.key_material, s.chunk, s.range);
+      s.done = true;
+      ++rep->inprocess_chunks;
+    }
+  }
+
   // Merge in chunk-index order.  Chunks partition [0, trials) in
   // ascending contiguous ranges, so chunk order IS trial order: records
   // concatenate sorted, stats fold exactly as run_trials() folds them,
   // and the counter merge (commutative sums) matches bit for bit.
   TrialSet out;
   out.master_seed = opt.master_seed;
-  out.threads = sopt.workers != 0 ? sopt.workers : 1;
+  out.threads = sopt.workers != 0 ? sopt.workers : pool.size();
   out.records.reserve(opt.trials);
   for (const ChunkState& s : state) {
     PP_ASSERT(s.done);

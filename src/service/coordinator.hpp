@@ -1,14 +1,17 @@
 // Coordinator of the sharded experiment service.
 //
 // run_trials_sharded() is a drop-in sibling of run_trials(): same spec,
-// same options, same TrialSet out — but the trial space is partitioned
-// into chunks (service/chunk.hpp) that are satisfied from the on-disk
-// chunk cache when possible and farmed out to worker *processes*
-// (service/worker.hpp) otherwise.  Because every chunk is a pure
-// function of (spec, master_seed, range), the merged result is
-// bit-identical to a single-process run_trials() with the same master
-// seed — for any worker count, any cache state, and any interleaving of
-// crashes and reassignments (pinned by tests/test_service.cpp).
+// same options, same pool, same TrialSet out — but the trial space is
+// partitioned into chunks (service/chunk.hpp) that are satisfied from the
+// on-disk chunk cache when possible and computed otherwise: on the
+// caller's thread pool through run_trial_ranges() (one pooled pass over
+// every missing chunk, so --threads is honoured), or by worker
+// *processes* (service/worker.hpp) when a fleet is requested.  Because
+// every chunk is a pure function of (spec, master_seed, range), the
+// merged result is bit-identical to a single-process run_trials() with
+// the same master seed — for any pool size, any worker count, any cache
+// state, and any interleaving of crashes and reassignments (pinned by
+// tests/test_service.cpp).
 //
 // Fan-out model (single machine, filesystem-coordinated):
 //
@@ -25,13 +28,15 @@
 // heartbeat content stops changing (dead holder → the chunk becomes
 // claimable again), reaps dead workers and respawns them under the same
 // id (the rejoin passes through NodeStatus::kRecovering), and falls
-// back to computing remaining chunks in-process if the fleet burns its
-// respawn budget — the sweep completes even if every worker dies.
+// back to computing remaining chunks on the caller's pool if the fleet
+// burns its respawn budget — the sweep completes even if every worker
+// dies.
 //
 // Specs that cannot round-trip through the provenance serialisation
 // (explicit factories, custom generators — see spec_is_replayable())
 // cannot be shipped to another process; those fall back to the plain
-// in-process runner, reported via ServiceReport::fallback_in_process.
+// runner on the caller's pool, reported via
+// ServiceReport::fallback_in_process and a stderr note.
 #pragma once
 
 #include <string>
@@ -41,9 +46,10 @@
 namespace pp::service {
 
 struct ServiceOptions {
-  /// Worker processes to spawn.  0 = no fan-out: chunks still go through
-  /// the cache (probe, compute misses in-process, store) so sequential
-  /// invocations resume, but no child processes are involved.
+  /// Worker processes to spawn.  0 = no process fan-out: chunks still go
+  /// through the cache (probe, store) so sequential invocations resume,
+  /// and the misses run on the caller's thread pool in one pooled pass;
+  /// no child processes are involved.
   u64 workers = 0;
 
   /// Root of the chunk cache and job state ("" disables the service
@@ -80,17 +86,19 @@ struct ServiceReport {
   u64 leases_expired = 0;
   u64 workers_spawned = 0;
   u64 workers_respawned = 0;
-  u64 inprocess_chunks = 0;  ///< computed by the coordinator itself
+  u64 inprocess_chunks = 0;  ///< computed by the coordinator on its pool
   bool fallback_in_process = false;  ///< non-replayable spec, plain runner
 };
 
 /// run_trials(), sharded: probe the chunk cache, fan misses out to
-/// `sopt.workers` re-exec'd worker processes (in-process when 0), merge
-/// in chunk order.  Bit-identical to single-process run_trials() with
-/// the same (spec, master seed) — see file header.  `report` (optional)
-/// receives the cache/fleet accounting.
+/// `sopt.workers` re-exec'd worker processes (on `pool` when 0, or when
+/// the fleet fails), merge in chunk order.  Bit-identical to
+/// single-process run_trials() with the same (spec, master seed) — see
+/// file header.  opt.threads is ignored, as in run_trials(..., pool);
+/// TrialSet::threads reports pool.size(), or sopt.workers with a fleet.
+/// `report` (optional) receives the cache/fleet accounting.
 TrialSet run_trials_sharded(const TrialSpec& spec, const RunnerOptions& opt,
-                            const ServiceOptions& sopt,
+                            const ServiceOptions& sopt, ThreadPool& pool,
                             ServiceReport* report = nullptr);
 
 /// Zeroes the fields documented as outside the determinism contract

@@ -1,8 +1,10 @@
 // Tests for the sharded experiment service (src/service/): the chunk
-// model and its on-disk cache, the run_trial_range kernel, and the
-// coordinator/worker fan-out — including the load-bearing claims:
+// model and its on-disk cache, the run_trial_ranges / run_trial_range
+// kernels, and the coordinator/worker fan-out — including the
+// load-bearing claims:
 //
 //  * merged aggregates are BIT-identical to single-process run_trials()
+//    for cached cold and warm runs on pools of 1, 2, 4 and 8 threads and
 //    at 1, 2 and 4 workers (records, stats, counters, and the sink rows
 //    rendered from them);
 //  * a repeated sweep is 100% cache hits and spawns no workers;
@@ -25,10 +27,13 @@
 #include <bit>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/file_io.hpp"
 #include "protocols/factory.hpp"
+#include "rng/random.hpp"
 #include "runner/runner.hpp"
 #include "runner/sink.hpp"
 #include "service/chunk.hpp"
@@ -165,6 +170,67 @@ TEST(TrialRange, AfterTrialHookFiresPerTrial) {
   EXPECT_EQ(seen, (std::vector<u64>{3, 4, 5, 6, 7}));
 }
 
+// The pooled kernel computes each range exactly as the serial one does —
+// records and counters — for random partitions (empty ranges included),
+// non-contiguous subsets, any pool size, and a shared churn scheduler.
+TEST(TrialRanges, MatchSerialRangePerRange) {
+  TrialSpec churn;
+  churn.label = "svc-ranges-churn";
+  churn.protocol = "ring-of-traps";
+  churn.n = 24;
+  churn.engine = EngineKind::kScheduled;
+  churn.scheduler.kind = SchedulerKind::kChurn;
+  churn.scheduler.churn_rate = 0.02;
+  churn.scheduler.churn_reset = ChurnReset::kUniformState;
+  churn.max_interactions = 200 * churn.n;
+  const u64 seed = 4242;
+
+  Rng rng(7);
+  u64 churn_faults = 0;
+  for (const TrialSpec& spec : {small_spec("svc-ranges"), churn}) {
+    for (const u64 threads : {1u, 3u, 8u}) {
+      ThreadPool pool(threads);
+      for (int round = 0; round < 4; ++round) {
+        // Random cut points over [0, 30), plus a repeated one so there is
+        // always an empty range; on odd rounds every other range is
+        // dropped (non-contiguous).
+        std::vector<u64> cuts{0, 30, 12, 12};
+        for (int c = 0; c < 6; ++c) cuts.push_back(rng.below(31));
+        std::sort(cuts.begin(), cuts.end());
+        std::vector<std::pair<u64, u64>> ranges;
+        for (u64 i = 0; i + 1 < cuts.size(); ++i) {
+          if (round % 2 == 1 && i % 2 == 1) continue;
+          ranges.emplace_back(cuts[i], cuts[i + 1]);
+        }
+        const std::vector<TrialRange> pooled =
+            run_trial_ranges(spec, seed, ranges, pool);
+        ASSERT_EQ(pooled.size(), ranges.size());
+        for (u64 i = 0; i < ranges.size(); ++i) {
+          const auto [b, e] = ranges[i];
+          const TrialRange serial = run_trial_range(spec, seed, b, e);
+          EXPECT_EQ(pooled[i].begin, b);
+          EXPECT_EQ(pooled[i].end, e);
+          expect_records_identical(serial.records, pooled[i].records);
+          EXPECT_TRUE(obs::CounterBlock::deterministic_equal(
+              serial.counters, pooled[i].counters))
+              << spec.label << " [" << b << ", " << e << ")";
+          if (spec.label == churn.label) {
+            for (const TrialRecord& r : pooled[i].records) {
+              churn_faults += r.fault_events;
+            }
+          }
+        }
+      }
+    }
+  }
+
+  EXPECT_GT(churn_faults, 0u);  // the churn model really ran
+
+  // No ranges at all: nothing to run, nothing returned.
+  ThreadPool pool(2);
+  EXPECT_TRUE(run_trial_ranges(churn, seed, {}, pool).empty());
+}
+
 // ---- chunk model & cache -------------------------------------------------
 
 TEST(ChunkCache, PartitionCoversTrialSpace) {
@@ -219,37 +285,77 @@ TEST(ChunkCache, HitMissStale) {
             service::CacheProbe::kStale);
 }
 
+// Threads of one process storing the same chunk at once each write their
+// own temp file, so every store lands whole and none leaves debris.
+TEST(ChunkCache, ConcurrentStoresOfOneChunk) {
+  const std::string dir = fresh_dir("concurrent");
+  const TrialSpec spec = small_spec("svc-concurrent");
+  const service::ChunkSpec chunk{0, 0, 6};
+  const std::string material = service::chunk_key_material(spec, 5, chunk);
+  const TrialRange range = run_trial_range(spec, 5, 0, 6);
+  const std::string final_path =
+      dir + "/" + service::chunk_file_name(material);
+
+  std::vector<std::string> paths(8);
+  std::vector<std::thread> writers;
+  for (u64 i = 0; i < paths.size(); ++i) {
+    writers.emplace_back([&, i] {
+      paths[i] = service::store_chunk(dir, material, chunk, range);
+    });
+  }
+  for (std::thread& w : writers) w.join();
+
+  for (const std::string& p : paths) EXPECT_EQ(p, final_path);
+  service::ChunkLoad load = service::load_chunk(dir, material, chunk);
+  ASSERT_EQ(load.status, service::CacheProbe::kHit);
+  expect_records_identical(range.records, load.range.records);
+  EXPECT_EQ(list_dir(dir),
+            std::vector<std::string>{service::chunk_file_name(material)});
+}
+
 // ---- sharded runs: bit identity ------------------------------------------
 
 TEST(Service, InProcessShardingBitIdenticalAndCached) {
   const TrialSpec spec = small_spec("svc-shard0");
   const RunnerOptions opt = small_options(24);
   const TrialSet base = run_trials(spec, opt);
+  const std::string base_trials = render_trial_rows(spec, base);
+  const std::string base_aggregate = render_aggregate_rows(spec, base);
 
-  service::ServiceOptions sopt;
-  sopt.workers = 0;
-  sopt.cache_dir = fresh_dir("svc0");
-  sopt.chunk_trials = 5;
+  for (const u64 threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    service::ServiceOptions sopt;
+    sopt.workers = 0;
+    sopt.cache_dir = fresh_dir("svc0t" + std::to_string(threads));
+    sopt.chunk_trials = 5;
 
-  service::ServiceReport rep;
-  const TrialSet cold = run_trials_sharded(spec, opt, sopt, &rep);
-  expect_sets_identical(base, cold);
-  EXPECT_EQ(rep.chunks, 5u);
-  EXPECT_EQ(rep.cache_misses, 5u);
-  EXPECT_EQ(rep.cache_hits, 0u);
-  EXPECT_EQ(rep.inprocess_chunks, 5u);
+    // Cold: every chunk misses and is computed on the pool.
+    service::ServiceReport rep;
+    const TrialSet cold = run_trials_sharded(spec, opt, sopt, pool, &rep);
+    expect_sets_identical(base, cold);
+    EXPECT_EQ(base_trials, render_trial_rows(spec, cold)) << threads;
+    EXPECT_EQ(base_aggregate, render_aggregate_rows(spec, cold)) << threads;
+    EXPECT_EQ(cold.threads, pool.size());
+    EXPECT_EQ(rep.chunks, 5u);
+    EXPECT_EQ(rep.cache_misses, 5u);
+    EXPECT_EQ(rep.cache_hits, 0u);
+    EXPECT_EQ(rep.inprocess_chunks, 5u);
+    EXPECT_EQ(rep.workers_spawned, 0u);
 
-  // Second invocation: pure cache, zero computation, same bits.
-  const TrialSet warm = run_trials_sharded(spec, opt, sopt, &rep);
-  expect_sets_identical(base, warm);
-  EXPECT_EQ(rep.cache_hits, 5u);
-  EXPECT_EQ(rep.cache_misses, 0u);
-  EXPECT_EQ(rep.inprocess_chunks, 0u);
+    // Second invocation: pure cache, zero computation, same bits.
+    const TrialSet warm = run_trials_sharded(spec, opt, sopt, pool, &rep);
+    expect_sets_identical(base, warm);
+    EXPECT_EQ(base_trials, render_trial_rows(spec, warm)) << threads;
+    EXPECT_EQ(base_aggregate, render_aggregate_rows(spec, warm)) << threads;
+    EXPECT_EQ(rep.cache_hits, 5u);
+    EXPECT_EQ(rep.cache_misses, 0u);
+    EXPECT_EQ(rep.inprocess_chunks, 0u);
 
-  // A different master seed keys different chunks: misses again.
-  const RunnerOptions reseeded = small_options(24, 777);
-  run_trials_sharded(spec, reseeded, sopt, &rep);
-  EXPECT_EQ(rep.cache_misses, 5u);
+    // A different master seed keys different chunks: misses again.
+    const RunnerOptions reseeded = small_options(24, 777);
+    run_trials_sharded(spec, reseeded, sopt, pool, &rep);
+    EXPECT_EQ(rep.cache_misses, 5u);
+  }
 }
 
 TEST(Service, WorkerShardingBitIdenticalAt1_2_4Workers) {
@@ -265,10 +371,12 @@ TEST(Service, WorkerShardingBitIdenticalAt1_2_4Workers) {
     sopt.cache_dir = fresh_dir("svcw" + std::to_string(workers));
     sopt.chunk_trials = 4;
 
+    ThreadPool pool(2);
     service::ServiceReport rep;
-    const TrialSet sharded = run_trials_sharded(spec, opt, sopt, &rep);
+    const TrialSet sharded = run_trials_sharded(spec, opt, sopt, pool, &rep);
     expect_sets_identical(base, sharded);
     EXPECT_GE(rep.workers_spawned, 1u) << workers;
+    EXPECT_EQ(sharded.threads, workers);
 
     // Sink rows: trial rows byte-identical as-is; aggregate rows
     // byte-identical once the documented wall-clock fields are
@@ -288,11 +396,12 @@ TEST(Service, SecondInvocationIsAllHitsNoWorkers) {
   sopt.cache_dir = fresh_dir("svcrerun");
   sopt.chunk_trials = 5;
 
+  ThreadPool pool(2);
   service::ServiceReport rep;
-  const TrialSet first = run_trials_sharded(spec, opt, sopt, &rep);
+  const TrialSet first = run_trials_sharded(spec, opt, sopt, pool, &rep);
   EXPECT_EQ(rep.cache_misses, 4u);
 
-  const TrialSet second = run_trials_sharded(spec, opt, sopt, &rep);
+  const TrialSet second = run_trials_sharded(spec, opt, sopt, pool, &rep);
   expect_sets_identical(first, second);
   EXPECT_EQ(rep.cache_hits, 4u);
   EXPECT_EQ(rep.cache_misses, 0u);
@@ -308,8 +417,10 @@ TEST(Service, StaleChunkIsRecomputed) {
   sopt.cache_dir = fresh_dir("svcstale");
   sopt.chunk_trials = 5;
 
+  // The recompute runs over a multi-thread pool.
+  ThreadPool pool(4);
   service::ServiceReport rep;
-  const TrialSet first = run_trials_sharded(spec, opt, sopt, &rep);
+  const TrialSet first = run_trials_sharded(spec, opt, sopt, pool, &rep);
 
   // Corrupt one cached chunk in place (a torn write).
   const std::string chunks_dir = sopt.cache_dir + "/chunks";
@@ -317,7 +428,7 @@ TEST(Service, StaleChunkIsRecomputed) {
   ASSERT_EQ(files.size(), 4u);
   write_file_atomic(chunks_dir + "/" + files[0], "poprank-chunk-v1\ntorn");
 
-  const TrialSet second = run_trials_sharded(spec, opt, sopt, &rep);
+  const TrialSet second = run_trials_sharded(spec, opt, sopt, pool, &rep);
   expect_sets_identical(first, second);
   EXPECT_EQ(rep.cache_stale, 1u);
   EXPECT_EQ(rep.cache_hits, 3u);
@@ -340,8 +451,9 @@ TEST(Service, CrashedWorkerLeaseExpiresAndRejoinsRecovering) {
   // Worker 0 hard-exits right after claiming its first chunk (once; the
   // marker file stops the respawned incarnation from crash-looping).
   ASSERT_EQ(setenv("POPRANK_SERVICE_CRASH_AFTER", "1", 1), 0);
+  ThreadPool pool(2);
   service::ServiceReport rep;
-  const TrialSet sharded = run_trials_sharded(spec, opt, sopt, &rep);
+  const TrialSet sharded = run_trials_sharded(spec, opt, sopt, pool, &rep);
   ASSERT_EQ(unsetenv("POPRANK_SERVICE_CRASH_AFTER"), 0);
 
   // The kill cost nothing but time: bits identical, the orphaned lease
@@ -361,6 +473,30 @@ TEST(Service, CrashedWorkerLeaseExpiresAndRejoinsRecovering) {
   EXPECT_NE(status.find("offline"), std::string::npos) << status;
 }
 
+TEST(Service, DeadFleetFinishesOnThePool) {
+  const TrialSpec spec = small_spec("svc-failsafe");
+  const RunnerOptions opt = small_options(24);
+  const TrialSet base = run_trials(spec, opt);
+
+  service::ServiceOptions sopt;
+  sopt.workers = 1;
+  sopt.cache_dir = fresh_dir("svcfailsafe");
+  sopt.chunk_trials = 3;
+  sopt.max_respawns = 0;  // the one worker's crash ends the fleet
+
+  ASSERT_EQ(setenv("POPRANK_SERVICE_CRASH_AFTER", "1", 1), 0);
+  ThreadPool pool(4);
+  service::ServiceReport rep;
+  const TrialSet sharded = run_trials_sharded(spec, opt, sopt, pool, &rep);
+  ASSERT_EQ(unsetenv("POPRANK_SERVICE_CRASH_AFTER"), 0);
+
+  // The fail-safe computed the leftovers on the pool: same bits.
+  expect_sets_identical(base, sharded);
+  EXPECT_EQ(rep.workers_respawned, 0u);
+  EXPECT_GE(rep.inprocess_chunks, 1u);
+  EXPECT_EQ(sharded.threads, sopt.workers);
+}
+
 TEST(Service, WorkerStatusLifecycle) {
   const TrialSpec spec = small_spec("svc-status");
   const RunnerOptions opt = small_options(8);
@@ -370,7 +506,8 @@ TEST(Service, WorkerStatusLifecycle) {
   sopt.cache_dir = fresh_dir("svcstatus");
   sopt.chunk_trials = 4;
 
-  run_trials_sharded(spec, opt, sopt);
+  ThreadPool pool(1);
+  run_trials_sharded(spec, opt, sopt, pool);
   const std::vector<std::string> jobs = list_dir(sopt.cache_dir + "/jobs");
   ASSERT_EQ(jobs.size(), 1u);
   const std::string status =
@@ -399,9 +536,11 @@ TEST(Service, NonReplayableSpecFallsBackInProcess) {
   sopt.workers = 2;
   sopt.cache_dir = fresh_dir("svcfb");
 
+  ThreadPool pool(3);
   service::ServiceReport rep;
-  const TrialSet fell_back = run_trials_sharded(spec, opt, sopt, &rep);
+  const TrialSet fell_back = run_trials_sharded(spec, opt, sopt, pool, &rep);
   expect_records_identical(base.records, fell_back.records);
+  EXPECT_EQ(fell_back.threads, pool.size());
   EXPECT_TRUE(rep.fallback_in_process);
   EXPECT_EQ(rep.workers_spawned, 0u);
   EXPECT_EQ(rep.chunks, 0u);
