@@ -3,7 +3,8 @@
 // Measures the cost of the simulator itself rather than protocol time:
 //   * productive-step throughput per protocol (the accelerated engine's
 //     unit of work: Fenwick sample + rule application),
-//   * uniform-step throughput (the naive engine's unit of work),
+//   * uniform-step throughput (the naive engine's unit of work) at
+//     10^3 .. 10^6 agents, and the churn storm tick built on it,
 //   * full stabilisation wall-time, accelerated vs uniform — the speedup
 //     that makes the Θ(n^2)-time protocols benchable at all,
 //   * Fenwick::find / Fenwick::add at 10^3 .. 10^7 slots — one row per
@@ -23,6 +24,7 @@
 #include "ds/fenwick.hpp"
 #include "protocols/factory.hpp"
 #include "runner/runner.hpp"
+#include "schedulers/churn.hpp"
 
 namespace pp {
 namespace {
@@ -61,6 +63,28 @@ void BM_UniformStep(benchmark::State& state, const char* name) {
     ++steps;
   }
   state.SetItemsProcessed(static_cast<int64_t>(steps));
+}
+
+/// A churn[0.02/uniform-state] storm on one ring-of-traps population: each
+/// iteration runs n more storm ticks (faults interleaved with uniform
+/// interactions, so none can be skipped) on the same, ever-churned
+/// configuration.  items/s is ticks/s.
+void BM_ChurnTick(benchmark::State& state) {
+  const u64 n = preferred_population("ring-of-traps",
+                                     static_cast<u64>(state.range(0)));
+  ProtocolPtr p = make_protocol("ring-of-traps", n);
+  Rng rng(6);
+  p->reset(initial::uniform_random(*p, rng));
+  const ChurnScheduler storm(0.02, 1, n, ChurnReset::kUniformState);
+  RunOptions opt;
+  opt.max_interactions = n;  // the storm only, never the clean tail
+  u64 ticks = 0;
+  for (auto _ : state) {
+    const RunResult r = storm.run(*p, rng, opt);
+    ticks += r.interactions;
+    benchmark::DoNotOptimize(r.productive_steps);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(ticks));
 }
 
 void BM_StabiliseAccelerated(benchmark::State& state, const char* name) {
@@ -104,6 +128,13 @@ BENCHMARK_CAPTURE(BM_ProductiveStep, tree, "tree-ranking")
 
 BENCHMARK_CAPTURE(BM_UniformStep, ag, "ag")->Arg(1024);
 BENCHMARK_CAPTURE(BM_UniformStep, tree, "tree-ranking")->Arg(1024);
+BENCHMARK_CAPTURE(BM_UniformStep, ring, "ring-of-traps")
+    ->RangeMultiplier(10)
+    ->Range(1000, 1000000);
+BENCHMARK_CAPTURE(BM_UniformStep, line, "line-of-traps")
+    ->RangeMultiplier(10)
+    ->Range(1000, 1000000);
+BENCHMARK(BM_ChurnTick)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 // Accelerated engine stabilises a 256-agent AG instance in microseconds;
 // the uniform engine needs ~n^3 = 16M simulated interactions for the same

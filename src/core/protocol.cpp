@@ -1,5 +1,7 @@
 #include "core/protocol.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace pp {
@@ -14,6 +16,12 @@ Protocol::Protocol(u64 num_agents, u64 num_ranks, u64 num_extra)
     : n_agents_(num_agents),
       n_ranks_(num_ranks),
       n_states_(num_ranks + num_extra) {
+  // StateId is 32-bit and kNoState (2^32 - 1) is reserved, so state ids run
+  // 0 .. 2^32 - 2.  Checked term by term: the sum above may have wrapped.
+  constexpr u64 kStateLimit = static_cast<u64>(kNoState);
+  PP_ASSERT_MSG(num_ranks <= kStateLimit &&
+                    num_extra <= kStateLimit - num_ranks,
+                "protocol needs 2^32 or more states; StateId is 32-bit");
   PP_ASSERT_MSG(n_agents_ >= 2, "need at least two agents to interact");
   PP_ASSERT_MSG(n_ranks_ >= 1, "need at least one rank state");
 }
@@ -29,7 +37,13 @@ void Protocol::reset(const Configuration& c) {
   // protocol reuses the storage instead of holding two trees at once.
   const std::vector<u64>& k = c.counts;
   count_all_.assign(n_states_, [&](u64 s) { return k[s]; });
-  rank_weight_.assign(n_ranks_, [&](u64 s) { return pair_weight(k[s]); });
+  u64 bound = 0;
+  rank_weight_.assign(n_ranks_, [&](u64 s) {
+    bound = std::max(bound, k[s]);
+    return pair_weight(k[s]);
+  });
+  count_bound_ = bound;
+  extra_agents_ = n_agents_ - rank_agents();
   on_reset();
 }
 
@@ -41,7 +55,13 @@ void Protocol::mutate(StateId s, i64 delta) {
                   "mutate would drive a state count negative");
   }
   count_all_.add(s, delta);
-  if (s < n_ranks_) rank_weight_.set(s, pair_weight(count(s)));
+  if (s < n_ranks_) {
+    const u64 c = count(s);
+    rank_weight_.set(s, pair_weight(c));
+    count_bound_ = std::max(count_bound_, c);
+  } else {
+    extra_agents_ += static_cast<u64>(delta);  // two's complement
+  }
 }
 
 void Protocol::apply_rank_rule(StateId s) {
@@ -66,19 +86,38 @@ void Protocol::step_productive(Rng& rng) {
 }
 
 bool Protocol::step_uniform(Rng& rng) {
-  // Initiator uniform among agents; responder uniform among the rest.
-  const StateId si =
-      static_cast<StateId>(count_all_.find(rng.below(n_agents_)));
-  count_all_.add(si, -1);
-  const StateId sr =
-      static_cast<StateId>(count_all_.find(rng.below(n_agents_ - 1)));
-  count_all_.add(si, +1);
+  // Initiator at position a, uniform among the n agents; responder uniform
+  // among the other n - 1, i.e. at b skipped past a.  Resolving b against
+  // the tree with si's count decremented gives the same state as resolving
+  // r against the untouched tree: the two differ only for
+  // a <= b < prefix(si + 1) - 1, where both land in si.
+  const u64 a = rng.below(n_agents_);
+  const u64 b = rng.below(n_agents_ - 1);
+  const u64 r = b + (b >= a);
 
-  if (si < n_ranks_ && sr < n_ranks_) {
-    if (si != sr) return false;  // state-optimal rules are (s,s) only
-    apply_rank_rule(si);
-    return true;
+  // Rank states come first, so positions below rank_end hold rank agents;
+  // two of them further apart than any rank state's count are in distinct
+  // rank states, and state-optimal rules are (s,s) only.
+  const u64 rank_end = n_agents_ - extra_agents_;
+  const u64 lo = std::min(a, r);
+  const u64 hi = std::max(a, r);
+  if (hi < rank_end && hi - lo >= count_bound_) return false;
+
+  // si's agents occupy [a - offset, a - offset + count(si)); the unsigned
+  // difference wraps when r lies below that range.
+  u64 offset = 0;
+  const StateId si = static_cast<StateId>(count_all_.find(a, offset));
+  PP_DCHECK(si >= n_ranks_ || count(si) <= count_bound_);
+  const bool same = r - (a - offset) < count(si);
+  if (si < n_ranks_) {
+    if (same) {
+      apply_rank_rule(si);
+      return true;
+    }
+    if (r < rank_end) return false;  // distinct rank states
   }
+  const StateId sr =
+      same ? si : static_cast<StateId>(count_all_.find(r));
   return apply_cross(si, sr);
 }
 

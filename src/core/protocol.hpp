@@ -81,6 +81,15 @@ class Protocol {
   /// Simulates one interaction of the uniform scheduler (an ordered pair of
   /// distinct agents chosen uniformly).  Returns true iff the configuration
   /// changed.
+  ///
+  /// Both agents are drawn as positions in the canonical count order
+  /// (state 0's agents first, extra states last) and resolved against the
+  /// count tree as it stands.  A null tick between two rank agents costs
+  /// two draws and a few compares, with no tree walk: the tick is null when
+  /// both positions lie among the rank agents and are at least
+  /// count_bound_ apart, since no rank state's agent range is that long.
+  /// Any other tick costs one descent, plus a second only when an
+  /// extra-state agent meets an agent in another state.
   bool step_uniform(Rng& rng);
 
   /// Applies δ to one *specific* ordered pair of agents currently in states
@@ -153,8 +162,12 @@ class Protocol {
   }
 
   /// Teleports one agent from state `from` (which must be occupied) to
-  /// state `to`, keeping counts and both Fenwick trees consistent.
-  /// Callers mutating in bulk must call commit_moves() afterwards.
+  /// state `to`, keeping counts, both Fenwick trees and step_uniform()'s
+  /// count_bound_ consistent.  The bound only rises here: a move that
+  /// empties the fullest state leaves it stale, which costs step_uniform()
+  /// speed (fewer constant-time rejections), never correctness; the next
+  /// reset() makes it exact again.  Callers mutating in bulk must call
+  /// commit_moves() afterwards.
   void move_agent(StateId from, StateId to) {
     mutate(from, -1);
     mutate(to, +1);
@@ -209,8 +222,9 @@ class Protocol {
   virtual void on_reset() {}
 
   /// --- helpers for derived classes -----------------------------------
-  /// Adds delta agents to state s, keeping counts and both Fenwick trees
-  /// consistent.
+  /// Adds delta agents to state s, keeping counts, both Fenwick trees,
+  /// count_bound_ and extra_agents_ consistent.  With reset(), the only
+  /// writer of the count tree.
   void mutate(StateId s, i64 delta);
   /// Fires the same-state rule of rank state s (two agents in s interact).
   void apply_rank_rule(StateId s);
@@ -229,6 +243,10 @@ class Protocol {
   u64 n_states_;
   Fenwick rank_weight_;  // rank states: c_s * (c_s - 1)
   Fenwick count_all_;    // all states: c_s (the leaves are counts())
+  // Invariant: count_bound_ >= count(s) for every rank state s.  reset()
+  // sets it to the exact maximum, mutate() only raises it.
+  u64 count_bound_ = 0;
+  u64 extra_agents_ = 0;  // agents in extra states
 };
 
 using ProtocolPtr = std::unique_ptr<Protocol>;

@@ -130,7 +130,7 @@ u64 Fenwick::prefix(u64 i) const {
   return sum;
 }
 
-u64 Fenwick::find(u64 target) const {
+u64 Fenwick::find(u64 target, u64& offset) const {
   PP_DCHECK(target < total_);
   // Invariant: `rem` is below the sum of the group being scanned, so each
   // scan stops inside the group (and never on a zero-weight entry).
@@ -143,6 +143,7 @@ u64 Fenwick::find(u64 target) const {
   const u64 i = first + scan(leaf_.data() + first,
                              std::min(kB, leaf_.size() - first), rem);
   PP_DCHECK(i < leaf_.size() && leaf_[i] > rem);
+  offset = rem;
   return i;
 }
 

@@ -97,7 +97,17 @@ class Fenwick {
   /// Given `target` in [0, total()), returns the unique index i such that
   /// prefix(i) <= target < prefix(i+1); i.e. samples i with probability
   /// weight(i)/total() when `target` is uniform.  One group scan per level.
-  u64 find(u64 target) const;
+  u64 find(u64 target) const {
+    u64 offset = 0;
+    return find(target, offset);
+  }
+
+  /// find() that also reports where `target` falls inside slot i:
+  /// offset = target - prefix(i), so 0 <= offset < get(i).  Free — it is
+  /// what the descent has left of `target` at the leaf — and it locates
+  /// slot i's whole range [target - offset, target - offset + get(i))
+  /// without a prefix() walk.
+  u64 find(u64 target, u64& offset) const;
 
  private:
   static constexpr u64 kB = 8;  // entries per group = u64 per cache line

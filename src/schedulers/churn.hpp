@@ -24,6 +24,12 @@
 // (so tests can assert the storm actually corrupted the run);
 // parallel_time = ticks / n.
 //
+// Tick cost.  A storm cannot skip nulls in closed form (faults interleave
+// with interactions), so every non-fault tick is one
+// Protocol::step_uniform(): two RNG draws and a few compares when it is a
+// null meeting of two rank agents — nearly every tick of a storm — and
+// O(log n) otherwise.
+//
 // Fault cost.  By default each fault event applies its teleports through
 // the Protocol's O(log n) mutation API (uniform_agent_state / move_agent /
 // commit_moves) — O(k log n) for a k-agent burst, which is what lets the

@@ -349,6 +349,31 @@ TEST(EngineDegenerate, SingleAgentPopulationsAreRejected) {
   }
 }
 
+// A protocol shell with arbitrary state counts and no rules: only the
+// Protocol base constructor runs, so its limits are checked before any
+// derived allocation could be attempted.
+class StateCountProtocol final : public Protocol {
+ public:
+  StateCountProtocol(u64 ranks, u64 extra) : Protocol(2, ranks, extra) {}
+  std::string_view name() const override { return "state-count"; }
+  std::pair<StateId, StateId> transition(StateId i, StateId r) const override {
+    return {i, r};
+  }
+};
+
+TEST(EngineDegenerate, StateCountsPastStateIdAreRejected) {
+  // StateId is 32-bit with kNoState = 2^32 - 1 reserved: 2^32 - 1 states
+  // (ids 0 .. 2^32 - 2) is the most a protocol may have.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const u64 limit = static_cast<u64>(kNoState);
+  const StateCountProtocol largest(limit - 1, 1);
+  EXPECT_EQ(largest.num_states(), limit);
+  EXPECT_DEATH(StateCountProtocol(limit, 1), "2\\^32 or more states");
+  EXPECT_DEATH(StateCountProtocol(u64{1} << 32, 0), "2\\^32 or more states");
+  // A sum that wraps u64 must not slip through as a small state count.
+  EXPECT_DEATH(StateCountProtocol(2, ~u64{0} - 1), "2\\^32 or more states");
+}
+
 TEST(EngineDegenerate, MinimalPopulationsStabiliseUnderBothEngines) {
   // The smallest supported population of every protocol (n = 2 for all but
   // line-of-traps) must run to a valid ranking on both engines — no NaN,

@@ -171,10 +171,21 @@ std::vector<u64> boundary_sizes() {
   return sizes;
 }
 
+// Both find() overloads at `target`, whose slot is expected to be i with
+// prefix(i) == before: the same slot, and an offset of exactly
+// target - prefix(i), inside slot i.
+void expect_find(const Fenwick& f, u64 target, u64 i, u64 before, u64 size) {
+  ASSERT_EQ(f.find(target), i) << size << " find " << target;
+  u64 offset = ~u64{0};
+  ASSERT_EQ(f.find(target, offset), i) << size << " find " << target;
+  ASSERT_EQ(offset, target - before) << size << " offset at " << target;
+  ASSERT_LT(offset, f.get(i)) << size << " offset at " << target;
+}
+
 // Checks every observable of `f` against the naive weight vector: size,
 // total, get, prefix at every index (prefix(size()) == total() included),
-// and find at both ends of every positive slot's target range — which
-// also proves find never returns a zero-weight slot.
+// and both find overloads at both ends of every positive slot's target
+// range — which also proves find never returns a zero-weight slot.
 void expect_matches(const Fenwick& f, const std::vector<u64>& naive,
                     u64 size) {
   ASSERT_EQ(f.size(), naive.size()) << size;
@@ -184,8 +195,9 @@ void expect_matches(const Fenwick& f, const std::vector<u64>& naive,
     if (i == naive.size()) break;
     ASSERT_EQ(f.get(i), naive[i]) << size << " get " << i;
     if (naive[i] > 0) {
-      ASSERT_EQ(f.find(cum), i) << size << " find " << cum;
-      ASSERT_EQ(f.find(cum + naive[i] - 1), i) << size;
+      ASSERT_NO_FATAL_FAILURE(expect_find(f, cum, i, cum, size));
+      ASSERT_NO_FATAL_FAILURE(
+          expect_find(f, cum + naive[i] - 1, i, cum, size));
     }
     cum += naive[i];
   }
@@ -194,10 +206,12 @@ void expect_matches(const Fenwick& f, const std::vector<u64>& naive,
   ASSERT_EQ(f.weights(), naive) << size;
 }
 
-u64 naive_find(const std::vector<u64>& w, u64 target) {
+// The slot holding `target` and the prefix before it, by linear scan.
+std::pair<u64, u64> naive_find(const std::vector<u64>& w, u64 target) {
   u64 i = 0;
-  while (w[i] <= target) target -= w[i++];
-  return i;
+  u64 before = 0;
+  while (before + w[i] <= target) before += w[i++];
+  return {i, before};
 }
 
 TEST(Fenwick, BoundaryDifferentialAgainstNaivePrefixes) {
@@ -249,9 +263,8 @@ TEST(Fenwick, BoundaryDifferentialAgainstNaivePrefixes) {
         default: {  // find
           if (f.total() == 0) break;
           const u64 t = rng.below(f.total());
-          const u64 got = f.find(t);
-          ASSERT_EQ(got, naive_find(naive, t)) << size << " find " << t;
-          ASSERT_GT(naive[got], 0u) << size;
+          const auto [i_t, before] = naive_find(naive, t);
+          ASSERT_NO_FATAL_FAILURE(expect_find(f, t, i_t, before, size));
           break;
         }
       }
