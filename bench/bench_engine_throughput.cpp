@@ -9,6 +9,8 @@
 //     that makes the Θ(n^2)-time protocols benchable at all,
 //   * Fenwick::find / Fenwick::add at 10^3 .. 10^7 slots — one row per
 //     cache regime (L1, L2, L3, DRAM) of the sum tree under every engine,
+//   * per-trial set-up (factory, uniform random start, reset) at
+//     10^5 .. 10^7 agents, in ms,
 //   * Monte-Carlo trial throughput, legacy serial harness vs the parallel
 //     runner at 1/2/4/8 threads (compare the "trials/s" counters; on a
 //     machine with >= 8 cores the 8-thread runner should be >= 3x the
@@ -195,6 +197,28 @@ void BM_FenwickAdd(benchmark::State& state) {
 
 BENCHMARK(BM_FenwickFind)->RangeMultiplier(10)->Range(1000, 10000000);
 BENCHMARK(BM_FenwickAdd)->RangeMultiplier(10)->Range(1000, 10000000);
+
+// ---- per-trial set-up -----------------------------------------------------
+
+/// What the runner does before every trial: build the protocol, draw a
+/// uniform random start over all states, load it with reset().  At 10^7
+/// agents this is the whole of a short-budget trial.
+void BM_TrialSetup(benchmark::State& state) {
+  const u64 n = preferred_population("ring-of-traps",
+                                     static_cast<u64>(state.range(0)));
+  Rng rng(7);
+  for (auto _ : state) {
+    ProtocolPtr p = make_protocol("ring-of-traps", n);
+    p->reset(initial::uniform_random(*p, rng));
+    benchmark::DoNotOptimize(p->productive_weight());
+  }
+}
+
+BENCHMARK(BM_TrialSetup)
+    ->RangeMultiplier(10)
+    ->Range(100000, 10000000)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // ---- Monte-Carlo trial throughput: serial harness vs parallel runner ----
 

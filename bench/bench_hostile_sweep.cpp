@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checked_math.hpp"
 #include "protocols/factory.hpp"
 #include "schedulers/scheduler.hpp"
 
@@ -55,7 +56,7 @@ int run(const Context& ctx) {
     // Generous whp headroom over the paper's uniform-scheduler bounds:
     // points that a knob setting genuinely breaks show up in "unstab.",
     // they don't hang the bench.
-    const u64 budget = 20 * n * n * n;
+    const u64 budget = checked_mul(20, n, n, n);
     const std::string name = proto;
     const auto run_spec = [&](const SchedulerSpec& sched, double param,
                               Table& t) {

@@ -80,6 +80,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checked_math.hpp"
 #include "protocols/factory.hpp"
 #include "schedulers/scheduler.hpp"
 
@@ -105,7 +106,7 @@ int run(const Context& ctx) {
         // Generous whp headroom over the paper's uniform-scheduler bounds
         // (O(n^2) parallel time for AG): runs that a model genuinely
         // strands show up in "unstab.", they don't hang the bench.
-        const u64 budget = 20 * n * n * n;
+        const u64 budget = checked_mul(20, n, n, n);
         // Registry protocol + named init rather than an opaque factory
         // lambda: resolve_factory() builds the identical protocol, and
         // the point's provenance-manifest record stays replayable.

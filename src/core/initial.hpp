@@ -25,11 +25,14 @@ namespace pp::initial {
 Configuration valid_ranking(u64 num_ranks, u64 num_states);
 
 /// Each of `num_agents` agents picks a state uniformly from
-/// [0, num_states).
+/// [0, num_states).  The draws are exactly those of a per-agent loop
+/// `++counts[rng.below(num_states)]`, in the same order, so the counts and
+/// the Rng's next state match it; the increments are merely batched.
 Configuration uniform_random(u64 num_agents, u64 num_states, Rng& rng);
 
 /// Each agent picks a state uniformly from the first `num_ranks` states
-/// of a `num_states`-state space (rank states only).
+/// of a `num_states`-state space (rank states only).  Same draws, in the
+/// same order, as the loop `++counts[rng.below(num_ranks)]`.
 Configuration uniform_random_ranks(u64 num_agents, u64 num_ranks,
                                    u64 num_states, Rng& rng);
 

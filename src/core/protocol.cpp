@@ -1,6 +1,7 @@
 #include "core/protocol.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -26,17 +27,19 @@ Protocol::Protocol(u64 num_agents, u64 num_ranks, u64 num_extra)
   PP_ASSERT_MSG(n_ranks_ >= 1, "need at least one rank state");
 }
 
-void Protocol::reset(const Configuration& c) {
+void Protocol::reset(Configuration c) {
   PP_ASSERT_MSG(c.num_states() == n_states_,
                 "configuration has wrong number of states");
-  PP_ASSERT_MSG(c.agents() == n_agents_,
-                "configuration has wrong number of agents");
   PP_ASSERT_MSG(rules_.size() == n_ranks_,
                 "derived protocol did not install its rule table");
-  // One linear build per tree, in place: a second reset() of the same
-  // protocol reuses the storage instead of holding two trees at once.
-  const std::vector<u64>& k = c.counts;
-  count_all_.assign(n_states_, [&](u64 s) { return k[s]; });
+  // The configuration's vector becomes the count tree's leaves; the build
+  // sums them once, overflow-checked, so the agent count needs no pass of
+  // its own (and a vector whose sum wraps u64 to n never gets this far).
+  // The rank tree is built in place from the adopted leaves.
+  count_all_.assign(std::move(c.counts));
+  PP_ASSERT_MSG(count_all_.total() == n_agents_,
+                "configuration has wrong number of agents");
+  const std::vector<u64>& k = count_all_.weights();
   u64 bound = 0;
   rank_weight_.assign(n_ranks_, [&](u64 s) {
     bound = std::max(bound, k[s]);

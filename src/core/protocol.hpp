@@ -61,7 +61,9 @@ class Protocol {
   /// over num_states() states — this is a *self-stabilising* protocol).
   /// Must precede every call that reads or changes the configuration: a
   /// constructed protocol holds no configuration (and no trees) yet.
-  void reset(const Configuration& c);
+  /// The configuration is taken by value and its count vector becomes the
+  /// count tree's leaves, so pass an rvalue to skip the copy.
+  void reset(Configuration c);
 
   /// Current configuration as per-state counts (the leaves of the count
   /// tree; no separate copy is kept).

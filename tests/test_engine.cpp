@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "core/initial.hpp"
 #include "protocols/ag.hpp"
@@ -166,6 +168,45 @@ TEST(Engine, ResetAndRerunOnSameProtocolObject) {
   // And resetting a silent protocol back to chaos revives it.
   p.reset(initial::all_in_state(p, 7));
   EXPECT_FALSE(p.is_silent());
+}
+
+// reset() takes its configuration by value and adopts the count vector as
+// the count tree's leaves.  Resetting from a copy (an lvalue) and from a
+// moved-in vector must load the same configuration, build the same trees
+// and so run the same trajectory -- also on a protocol already reset once.
+TEST(Engine, ResetFromLvalueAndRvalueAgree) {
+  for (const char* name :
+       {"ag", "ring-of-traps", "line-of-traps", "tree-ranking"}) {
+    const u64 n = preferred_population(name, 200);
+    ProtocolPtr copied = make_protocol(name, n);
+    ProtocolPtr moved = make_protocol(name, n);
+    Rng init(41);
+    for (int round = 0; round < 2; ++round) {
+      const Configuration c = round == 0
+                                  ? initial::uniform_random(*copied, init)
+                                  : initial::all_in_state(*copied, 0);
+      copied->reset(c);
+      EXPECT_EQ(copied->counts(), c.counts) << name << " lvalue reset";
+      Configuration tmp = c;
+      moved->reset(std::move(tmp));
+      ASSERT_EQ(copied->counts(), moved->counts()) << name;
+      ASSERT_EQ(copied->productive_weight(), moved->productive_weight())
+          << name << " round " << round;
+
+      Rng rng_copied(100 + static_cast<u64>(round));
+      Rng rng_moved(100 + static_cast<u64>(round));
+      const RunResult a = run_accelerated(*copied, rng_copied);
+      const RunResult b = run_accelerated(*moved, rng_moved);
+      EXPECT_EQ(a.interactions, b.interactions) << name;
+      EXPECT_EQ(a.productive_steps, b.productive_steps) << name;
+      EXPECT_EQ(a.silent, b.silent) << name;
+      EXPECT_EQ(a.valid, b.valid) << name;
+      EXPECT_EQ(a.parallel_time, b.parallel_time) << name;
+      EXPECT_TRUE(a.valid) << name << " round " << round;
+      EXPECT_EQ(copied->counts(), moved->counts()) << name;
+      EXPECT_EQ(rng_copied.bits(), rng_moved.bits()) << name;
+    }
+  }
 }
 
 TEST(Engine, ParallelTimeIsCensoredAtBudget) {
@@ -372,6 +413,28 @@ TEST(EngineDegenerate, StateCountsPastStateIdAreRejected) {
   EXPECT_DEATH(StateCountProtocol(u64{1} << 32, 0), "2\\^32 or more states");
   // A sum that wraps u64 must not slip through as a small state count.
   EXPECT_DEATH(StateCountProtocol(2, ~u64{0} - 1), "2\\^32 or more states");
+}
+
+TEST(EngineDegenerate, ResetRejectsWrongAgentCounts) {
+  // The agent count is read off the count tree's overflow-checked build:
+  // a configuration one agent short, one over, or whose counts sum past
+  // 2^64 and wrap to exactly n must all abort, never load.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const u64 n = 64;
+  ProtocolPtr p = make_protocol("ring-of-traps", n);
+  const u64 states = p->num_states();
+  Configuration short_one = initial::all_in_state(n - 1, states, 0);
+  Configuration over_one = initial::all_in_state(n + 1, states, 0);
+  Configuration wraps = initial::all_in_state(n + 1, states, 1);
+  wraps.counts[0] = ~u64{0};  // (2^64 - 1) + (n + 1) == n mod 2^64
+  EXPECT_DEATH(p->reset(short_one), "wrong number of agents");
+  EXPECT_DEATH(p->reset(over_one), "wrong number of agents");
+  EXPECT_DEATH(p->reset(wraps),
+               "wrong number of agents|total weight exceeds");
+
+  AgProtocol two(2);  // the smallest case: {2^64 - 1, 3} wraps to 2
+  EXPECT_DEATH(two.reset(Configuration({~u64{0}, 3})),
+               "wrong number of agents|total weight exceeds");
 }
 
 TEST(EngineDegenerate, MinimalPopulationsStabiliseUnderBothEngines) {

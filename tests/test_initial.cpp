@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "rng/random.hpp"
 
 namespace pp {
@@ -26,6 +28,54 @@ TEST(Initial, UniformRandomRanksNeverUsesExtraStates) {
   const Configuration c = initial::uniform_random_ranks(200, 8, 12, rng);
   EXPECT_EQ(c.agents(), 200u);
   for (u64 s = 8; s < 12; ++s) EXPECT_EQ(c.counts[s], 0u);
+}
+
+// The per-agent loop the generators must reproduce draw for draw: agent
+// i lands in state rng.below(bound), in order.
+std::vector<u64> per_agent_counts(u64 num_agents, u64 num_states, u64 bound,
+                                  Rng& rng) {
+  std::vector<u64> counts(num_states, 0);
+  for (u64 i = 0; i < num_agents; ++i) ++counts[rng.below(bound)];
+  return counts;
+}
+
+// Agent counts around the generators' 64-draw block (none, one short
+// block, exactly one, one over, two plus one) and a large odd count;
+// state counts from one state to 10^6.
+constexpr u64 kOracleAgents[] = {0, 1, 63, 64, 65, 129, 100003};
+constexpr u64 kOracleStates[] = {1, 2, 1000000};
+
+TEST(Initial, UniformRandomMatchesPerAgentLoop) {
+  for (const u64 agents : kOracleAgents) {
+    for (const u64 states : kOracleStates) {
+      for (const u64 seed : {1u, 2u, 977u}) {
+        Rng rng(seed);
+        Rng ref(seed);
+        const Configuration c = initial::uniform_random(agents, states, rng);
+        ASSERT_EQ(c.counts, per_agent_counts(agents, states, states, ref))
+            << "agents=" << agents << " states=" << states
+            << " seed=" << seed;
+        ASSERT_EQ(rng.bits(), ref.bits()) << "Rng stream diverged";
+      }
+    }
+  }
+}
+
+TEST(Initial, UniformRandomRanksMatchesPerAgentLoop) {
+  for (const u64 agents : kOracleAgents) {
+    for (const u64 ranks : kOracleStates) {
+      for (const u64 seed : {3u, 4u, 1013u}) {
+        const u64 states = ranks + 3;
+        Rng rng(seed);
+        Rng ref(seed);
+        const Configuration c =
+            initial::uniform_random_ranks(agents, ranks, states, rng);
+        ASSERT_EQ(c.counts, per_agent_counts(agents, states, ranks, ref))
+            << "agents=" << agents << " ranks=" << ranks << " seed=" << seed;
+        ASSERT_EQ(rng.bits(), ref.bits()) << "Rng stream diverged";
+      }
+    }
+  }
 }
 
 TEST(Initial, KDistantHasExactDistance) {
