@@ -200,15 +200,17 @@ BENCHMARK(BM_FenwickAdd)->RangeMultiplier(10)->Range(1000, 10000000);
 
 // ---- per-trial set-up -----------------------------------------------------
 
-/// What the runner does before every trial: build the protocol, draw a
-/// uniform random start over all states, load it with reset().  At 10^7
-/// agents this is the whole of a short-budget trial.
+/// What the runner does before every trial: take a fresh() instance of
+/// the protocol it built once per trial set, draw a uniform random start
+/// over all states, load it with reset().  At 10^7 agents this is the
+/// whole of a short-budget trial.
 void BM_TrialSetup(benchmark::State& state) {
   const u64 n = preferred_population("ring-of-traps",
                                      static_cast<u64>(state.range(0)));
+  const ProtocolPtr tables = make_protocol("ring-of-traps", n);
   Rng rng(7);
   for (auto _ : state) {
-    ProtocolPtr p = make_protocol("ring-of-traps", n);
+    ProtocolPtr p = tables->fresh();
     p->reset(initial::uniform_random(*p, rng));
     benchmark::DoNotOptimize(p->productive_weight());
   }

@@ -11,9 +11,10 @@ Measurement measure(const ProtocolFactory& make_protocol,
   PP_ASSERT(opt.trials >= 1);
   Measurement out;
   out.parallel_times.reserve(opt.trials);
+  const ProtocolPtr tables = make_protocol();
   for (u64 t = 0; t < opt.trials; ++t) {
     Rng rng(derive_seed(opt.root_seed, opt.label, t));
-    ProtocolPtr p = make_protocol();
+    ProtocolPtr p = tables->fresh();
     p->reset(make_config(*p, rng));
     RunOptions ro;
     ro.max_interactions = opt.max_interactions;

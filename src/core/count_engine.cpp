@@ -119,8 +119,9 @@ RunResult CountEngine::run(Rng& rng, const RunOptions& opt, u64 handoff_gap,
       status->max_gap_bucket = std::max(status->max_gap_bucket, bucket);
     }
     // ...then one uniform draw below W, resolved through a Fenwick whose
-    // leaves match the protocol's rank_weight_ tree entry for entry — so
-    // find() lands on the same state step_productive would pick.
+    // leaves equal the protocol's rank-tree weights c(c - 1) entry for
+    // entry, over the same layout — so find() lands on the same state
+    // step_productive would pick.
     const StateId s = static_cast<StateId>(mass_.find(rng.below(w)));
     const DiagonalRule rule = delta_[s];
     counts_[s] -= 2;

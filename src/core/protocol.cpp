@@ -1,17 +1,12 @@
 #include "core/protocol.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/assert.hpp"
 
 namespace pp {
-namespace {
-
-// Ordered pairs of distinct agents within one state of count c.
-u64 pair_weight(u64 c) { return c * (c - (c > 0 ? 1 : 0)); }
-
-}  // namespace
 
 Protocol::Protocol(u64 num_agents, u64 num_ranks, u64 num_extra)
     : n_agents_(num_agents),
@@ -27,25 +22,31 @@ Protocol::Protocol(u64 num_agents, u64 num_ranks, u64 num_extra)
   PP_ASSERT_MSG(n_ranks_ >= 1, "need at least one rank state");
 }
 
+Protocol::Protocol(const Protocol& tables, ShareTables)
+    : n_agents_(tables.n_agents_),
+      n_ranks_(tables.n_ranks_),
+      n_states_(tables.n_states_),
+      rules_(tables.rules_) {}
+
+void Protocol::install_rules(std::vector<Rule> rules) {
+  PP_ASSERT_MSG(rules.size() == n_ranks_,
+                "rule table needs one entry per rank state");
+  rules_ = std::make_shared<const std::vector<Rule>>(std::move(rules));
+}
+
 void Protocol::reset(Configuration c) {
   PP_ASSERT_MSG(c.num_states() == n_states_,
                 "configuration has wrong number of states");
-  PP_ASSERT_MSG(rules_.size() == n_ranks_,
+  PP_ASSERT_MSG(rules_ != nullptr,
                 "derived protocol did not install its rule table");
   // The configuration's vector becomes the count tree's leaves; the build
   // sums them once, overflow-checked, so the agent count needs no pass of
   // its own (and a vector whose sum wraps u64 to n never gets this far).
-  // The rank tree is built in place from the adopted leaves.
+  // The rank tree reads its leaves from the adopted counts.
   count_all_.assign(std::move(c.counts));
   PP_ASSERT_MSG(count_all_.total() == n_agents_,
                 "configuration has wrong number of agents");
-  const std::vector<u64>& k = count_all_.weights();
-  u64 bound = 0;
-  rank_weight_.assign(n_ranks_, [&](u64 s) {
-    bound = std::max(bound, k[s]);
-    return pair_weight(k[s]);
-  });
-  count_bound_ = bound;
+  count_bound_ = rank_weight_.reset(counts().data(), n_ranks_);
   extra_agents_ = n_agents_ - rank_agents();
   on_reset();
 }
@@ -60,7 +61,7 @@ void Protocol::mutate(StateId s, i64 delta) {
   count_all_.add(s, delta);
   if (s < n_ranks_) {
     const u64 c = count(s);
-    rank_weight_.set(s, pair_weight(c));
+    rank_weight_.count_changed(s, c - static_cast<u64>(delta));
     count_bound_ = std::max(count_bound_, c);
   } else {
     extra_agents_ += static_cast<u64>(delta);  // two's complement
@@ -70,7 +71,7 @@ void Protocol::mutate(StateId s, i64 delta) {
 void Protocol::apply_rank_rule(StateId s) {
   PP_DCHECK(s < n_ranks_);
   PP_DCHECK(count(s) >= 2);
-  const Rule r = rules_[s];
+  const Rule r = (*rules_)[s];
   mutate(s, -2);
   mutate(r.out1, +1);
   mutate(r.out2, +1);

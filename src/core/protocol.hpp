@@ -7,13 +7,26 @@
 // break silence.  All four protocols in this library therefore share the
 // same backbone:
 //
-//   * a per-rank-state table of same-state rules, with a Fenwick tree of
+//   * a per-rank-state table of same-state rules, with a sum tree of
 //     "productive weights" c_s(c_s - 1) (the number of ordered pairs of
 //     distinct agents both in s) used to sample the next productive
 //     interaction in O(log n); and
 //   * optional protocol-specific *extra categories* covering interactions
 //     that involve extra states (the line protocol's X, the tree protocol's
 //     red/green buffer), exposed through three virtual hooks.
+//
+// Memory.  A protocol splits into two halves:
+//   * immutable tables — the rule table (8 B per rank state) and each
+//     protocol's geometry (ring/line layout, balanced tree) — built once
+//     by the constructor and held through shared_ptr<const ...>, so every
+//     instance fresh() makes shares them; and
+//   * per-instance state, loaded by reset(): the count tree (ds/fenwick.hpp:
+//     the counts as leaves plus internal levels, ~9.1 B per state) and the
+//     rank tree (a PairWeightTree reading c_s from the count tree's leaves:
+//     internal levels only, ~1.1 B per rank state).
+// The runner builds one protocol per trial set and one fresh() instance per
+// trial, so concurrent trials hold ~10.3 B per state each plus one shared
+// copy of the tables.
 //
 // The two engines drive this interface in different ways:
 //   * AcceleratedEngine calls productive_weight() / step_productive() and
@@ -48,6 +61,22 @@ class Protocol {
 
   /// Human-readable protocol name (e.g. "ring-of-traps").
   virtual std::string_view name() const = 0;
+
+  /// A new instance of the same protocol, sharing this one's immutable
+  /// tables (rules, layout) and holding no configuration: call reset()
+  /// before use.  Safe to call from several threads at once.
+  virtual std::unique_ptr<Protocol> fresh() const = 0;
+
+  /// Same-state rule (s,s) -> (out1, out2) of rank state s (outputs may be
+  /// extra states).  Every rule changes the configuration (out1 != s or
+  /// out2 != s).
+  struct Rule {
+    StateId out1;
+    StateId out2;
+  };
+  /// The rule table, one entry per rank state: immutable, and shared by
+  /// every fresh() instance of this protocol.
+  const std::vector<Rule>& rules() const { return *rules_; }
 
   /// Population size n; equals the number of rank states for ranking
   /// protocols (auxiliary sub-protocols such as the single-line model of
@@ -164,7 +193,7 @@ class Protocol {
   }
 
   /// Teleports one agent from state `from` (which must be occupied) to
-  /// state `to`, keeping counts, both Fenwick trees and step_uniform()'s
+  /// state `to`, keeping counts, both sum trees and step_uniform()'s
   /// count_bound_ consistent.  The bound only rises here: a move that
   /// empties the fullest state leaves it stale, which costs step_uniform()
   /// speed (fewer constant-time rejections), never correctness; the next
@@ -201,18 +230,19 @@ class Protocol {
   /// sub-protocols may simulate fewer/more agents than rank states.
   Protocol(u64 num_agents, u64 num_ranks, u64 num_extra);
 
-  /// Same-state rule (s,s) -> (out1, out2); derived constructors must fill
-  /// one entry per rank state (outputs may be extra states).  Every rule
-  /// must change the configuration (out1 != s or out2 != s).
-  struct Rule {
-    StateId out1;
-    StateId out2;
-  };
-  std::vector<Rule> rules_;
+  /// Tag of the constructors behind fresh().
+  struct ShareTables {};
+  /// The base half of fresh(): copies `tables`' dimensions and shares its
+  /// rule table; the new instance holds no configuration.
+  Protocol(const Protocol& tables, ShareTables);
+
+  /// Installs the rule table; derived constructors must call it with one
+  /// entry per rank state.
+  void install_rules(std::vector<Rule> rules);
 
   /// --- hooks for protocols with extra states ------------------------
-  /// Number of productive ordered pairs not counted by the rank-state
-  /// Fenwick (i.e. pairs involving at least one extra-state agent).
+  /// Number of productive ordered pairs not counted by the rank tree
+  /// (i.e. pairs involving at least one extra-state agent).
   virtual u64 extra_weight() const { return 0; }
   /// Applies the extra productive interaction selected by
   /// `target` uniform in [0, extra_weight()).
@@ -224,7 +254,7 @@ class Protocol {
   virtual void on_reset() {}
 
   /// --- helpers for derived classes -----------------------------------
-  /// Adds delta agents to state s, keeping counts, both Fenwick trees,
+  /// Adds delta agents to state s, keeping counts, both sum trees,
   /// count_bound_ and extra_agents_ consistent.  With reset(), the only
   /// writer of the count tree.
   void mutate(StateId s, i64 delta);
@@ -243,8 +273,10 @@ class Protocol {
   u64 n_agents_;
   u64 n_ranks_;
   u64 n_states_;
-  Fenwick rank_weight_;  // rank states: c_s * (c_s - 1)
-  Fenwick count_all_;    // all states: c_s (the leaves are counts())
+  std::shared_ptr<const std::vector<Rule>> rules_;  // shared by fresh()
+  Fenwick count_all_;           // all states: c_s (the leaves are counts())
+  PairWeightTree rank_weight_;  // rank states: c_s (c_s - 1), read from
+                                // count_all_'s leaves
   // Invariant: count_bound_ >= count(s) for every rank state s.  reset()
   // sets it to the exact maximum, mutate() only raises it.
   u64 count_bound_ = 0;

@@ -1,12 +1,20 @@
 #include "protocols/ag.hpp"
 
+#include <utility>
+#include <vector>
+
 namespace pp {
 
 AgProtocol::AgProtocol(u64 n) : Protocol(n, n, /*num_extra=*/0) {
-  rules_.resize(n);
+  std::vector<Rule> rules(n);
   for (StateId i = 0; i < n; ++i) {
-    rules_[i] = Rule{i, static_cast<StateId>((i + 1) % n)};
+    rules[i] = Rule{i, static_cast<StateId>((i + 1) % n)};
   }
+  install_rules(std::move(rules));
+}
+
+ProtocolPtr AgProtocol::fresh() const {
+  return ProtocolPtr(new AgProtocol(*this, ShareTables{}));
 }
 
 std::pair<StateId, StateId> AgProtocol::transition(StateId initiator,

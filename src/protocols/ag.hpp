@@ -21,11 +21,16 @@ class AgProtocol final : public Protocol {
   explicit AgProtocol(u64 n);
 
   std::string_view name() const override { return "ag"; }
+  ProtocolPtr fresh() const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
   /// The single rule family is diagonal (i,i) -> (i, i+1 mod n) on rank
   /// states only — AG's dynamics are a pure function of the count vector.
   bool is_count_determined() const override { return true; }
+
+ private:
+  AgProtocol(const AgProtocol& tables, ShareTables tag)
+      : Protocol(tables, tag) {}
 };
 
 }  // namespace pp

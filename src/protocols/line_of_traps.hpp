@@ -27,6 +27,7 @@
 //     s(C_l) and the deficit d(C_l) of a line configuration.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -43,11 +44,12 @@ class LineOfTrapsProtocol final : public Protocol {
   explicit LineOfTrapsProtocol(u64 n);
 
   std::string_view name() const override { return "line-of-traps"; }
+  ProtocolPtr fresh() const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
   std::string describe_state(StateId s) const override;
 
-  const LineLayout& layout() const { return layout_; }
+  const LineLayout& layout() const { return *layout_; }
 
   /// The extra state X.
   StateId x_state() const { return static_cast<StateId>(num_ranks()); }
@@ -75,9 +77,10 @@ class LineOfTrapsProtocol final : public Protocol {
   bool apply_cross(StateId initiator, StateId responder) override;
 
  private:
-  void install_line_rules(u64 l);
+  LineOfTrapsProtocol(const LineOfTrapsProtocol& tables, ShareTables tag)
+      : Protocol(tables, tag), layout_(tables.layout_) {}
 
-  LineLayout layout_;
+  std::shared_ptr<const LineLayout> layout_;  // shared by fresh()
 };
 
 /// Outcome of running one line to silence with no arriving agents
@@ -107,6 +110,7 @@ class SingleLineProtocol final : public Protocol {
   SingleLineProtocol(u64 num_agents, u64 traps, u64 inner);
 
   std::string_view name() const override { return "single-line"; }
+  ProtocolPtr fresh() const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
 
@@ -129,6 +133,9 @@ class SingleLineProtocol final : public Protocol {
   bool apply_cross(StateId, StateId) override { return false; }  // X inert
 
  private:
+  SingleLineProtocol(const SingleLineProtocol& tables, ShareTables tag)
+      : Protocol(tables, tag), traps_(tables.traps_), inner_(tables.inner_) {}
+
   u64 traps_;
   u64 inner_;
 };

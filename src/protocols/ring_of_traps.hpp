@@ -16,6 +16,7 @@
 // function K = k1 + 2 k2 for the invariant property tests.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -34,6 +35,7 @@ class RingOfTrapsProtocol final : public Protocol {
   RingOfTrapsProtocol(u64 n, u64 traps);
 
   std::string_view name() const override { return "ring-of-traps"; }
+  ProtocolPtr fresh() const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
   std::string describe_state(StateId s) const override;
@@ -42,14 +44,18 @@ class RingOfTrapsProtocol final : public Protocol {
   /// (zero extra states) — the dynamics live on the count vector.
   bool is_count_determined() const override { return true; }
 
-  const RingLayout& layout() const { return layout_; }
+  const RingLayout& layout() const { return *layout_; }
 
   /// Lemma 3 weight of the current configuration (non-increasing along
   /// every trajectory; checked by tests).
-  u64 lemma3_weight() const { return layout_.lemma3_weight(counts()); }
+  u64 lemma3_weight() const { return layout_->lemma3_weight(counts()); }
 
  private:
-  RingLayout layout_;
+  explicit RingOfTrapsProtocol(std::shared_ptr<const RingLayout> tables);
+  RingOfTrapsProtocol(const RingOfTrapsProtocol& tables, ShareTables tag)
+      : Protocol(tables, tag), layout_(tables.layout_) {}
+
+  std::shared_ptr<const RingLayout> layout_;  // shared by fresh()
 };
 
 }  // namespace pp

@@ -1,6 +1,8 @@
 #include "protocols/tree_ranking.hpp"
 
 #include <bit>
+#include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 
@@ -17,20 +19,26 @@ u64 default_k(u64 n) {
 
 TreeRankingProtocol::TreeRankingProtocol(u64 n, u64 k, ResetMode mode)
     : Protocol(n, n, /*num_extra=*/2 * (k == 0 ? default_k(n) : k)),
-      tree_(n),
+      tree_(std::make_shared<const BalancedTree>(n)),
       k_(k == 0 ? default_k(n) : k),
       mode_(mode) {
   PP_ASSERT_MSG(k_ >= 1, "buffer line needs at least X_1, X_2");
-  rules_.resize(n);
+  const BalancedTree& tree = *tree_;
+  std::vector<Rule> rules(n);
   for (StateId p = 0; p < n; ++p) {
-    if (tree_.is_leaf(p)) {
-      rules_[p] = Rule{x_state(1), x_state(1)};  // R2: reset signal
-    } else if (tree_.is_branching(p)) {
-      rules_[p] = Rule{tree_.left_child(p), tree_.right_child(p)};  // R1
+    if (tree.is_leaf(p)) {
+      rules[p] = Rule{x_state(1), x_state(1)};  // R2: reset signal
+    } else if (tree.is_branching(p)) {
+      rules[p] = Rule{tree.left_child(p), tree.right_child(p)};  // R1
     } else {
-      rules_[p] = Rule{p, tree_.left_child(p)};  // R1, lone child = p+1
+      rules[p] = Rule{p, tree.left_child(p)};  // R1, lone child = p+1
     }
   }
+  install_rules(std::move(rules));
+}
+
+ProtocolPtr TreeRankingProtocol::fresh() const {
+  return ProtocolPtr(new TreeRankingProtocol(*this, ShareTables{}));
 }
 
 u64 TreeRankingProtocol::extra_weight() const {
@@ -138,11 +146,11 @@ std::pair<StateId, StateId> TreeRankingProtocol::transition(
   if (!init_extra && !resp_extra) {
     if (initiator != responder) return {initiator, responder};
     const StateId p = initiator;
-    if (tree_.is_leaf(p)) return {x_state(1), x_state(1)};       // R2
-    if (tree_.is_branching(p)) {
-      return {tree_.left_child(p), tree_.right_child(p)};       // R1
+    if (tree_->is_leaf(p)) return {x_state(1), x_state(1)};      // R2
+    if (tree_->is_branching(p)) {
+      return {tree_->left_child(p), tree_->right_child(p)};     // R1
     }
-    return {p, tree_.left_child(p)};                            // R1
+    return {p, tree_->left_child(p)};                           // R1
   }
   if (init_extra && resp_extra) {
     const u64 i = x_index(initiator);
@@ -165,8 +173,8 @@ std::string TreeRankingProtocol::describe_state(StateId s) const {
     return "X_" + std::to_string(i) + (is_red(i) ? "(red)" : "(green)");
   }
   std::string out = "node " + std::to_string(s);
-  if (tree_.is_leaf(s)) return out + " (leaf)";
-  return out + (tree_.is_branching(s) ? " (branching)" : " (chain)");
+  if (tree_->is_leaf(s)) return out + " (leaf)";
+  return out + (tree_->is_branching(s) ? " (branching)" : " (chain)");
 }
 
 }  // namespace pp

@@ -59,11 +59,29 @@ std::vector<double> TrialSet::parallel_times() const {
 
 namespace {
 
-// The fan-out kernel.  `shared_scheduler` lets run_trials() build one
-// (immutable, thread-safe) scheduler for the whole trial set instead of
-// once per trial — graph topologies can be O(n^2) to construct.
-TrialRecord run_one_trial_impl(const TrialSpec& spec, u64 trial_index,
-                               u64 seed, const Scheduler* shared_scheduler,
+// What every trial of a set shares, built once per set: the factory's
+// protocol, whose fresh() instances share its rule table and layout, and
+// (for EngineKind::kScheduled) the scheduler — immutable and thread-safe,
+// and graph topologies can be O(n^2) to construct.
+struct SharedTrialState {
+  ProtocolPtr probe;
+  SchedulerPtr scheduler;
+};
+
+SharedTrialState prepare_trial_set(const TrialSpec& spec) {
+  SharedTrialState shared;
+  shared.probe = spec.resolve_factory()();
+  if (spec.engine == EngineKind::kScheduled) {
+    shared.scheduler =
+        make_scheduler(spec.scheduler, shared.probe->num_agents());
+  }
+  return shared;
+}
+
+// The fan-out kernel.
+TrialRecord run_one_trial_impl(const TrialSpec& spec,
+                               const SharedTrialState& shared,
+                               u64 trial_index, u64 seed,
                                obs::CounterBlock* block) {
 #if PP_OBS
   const u64 t0_us = obs::now_us();
@@ -78,7 +96,7 @@ TrialRecord run_one_trial_impl(const TrialSpec& spec, u64 trial_index,
   ProtocolPtr p;
   {
     PP_OBS_SPAN("trial-setup", "\"trial\":" + std::to_string(trial_index));
-    p = spec.resolve_factory()();
+    p = shared.probe->fresh();
     if (spec.init) {
       p->reset(spec.init(*p, rng));
     } else {
@@ -103,15 +121,9 @@ TrialRecord run_one_trial_impl(const TrialSpec& spec, u64 trial_index,
         break;
       }
       case EngineKind::kScheduled: {
-        SchedulerPtr own;
-        const Scheduler* s = shared_scheduler;
-        if (s == nullptr) {
-          own = make_scheduler(spec.scheduler, p->num_agents());
-          s = own.get();
-        }
         RunOptions ro;
         ro.max_interactions = spec.max_interactions;
-        r = s->run(*p, rng, ro);
+        r = shared.scheduler->run(*p, rng, ro);
         break;
       }
     }
@@ -135,7 +147,8 @@ TrialRecord run_one_trial_impl(const TrialSpec& spec, u64 trial_index,
 }  // namespace
 
 TrialRecord run_one_trial(const TrialSpec& spec, u64 trial_index, u64 seed) {
-  return run_one_trial_impl(spec, trial_index, seed, nullptr, nullptr);
+  return run_one_trial_impl(spec, prepare_trial_set(spec), trial_index, seed,
+                            nullptr);
 }
 
 TrialRange run_trial_range(const TrialSpec& spec, u64 master_seed, u64 begin,
@@ -145,17 +158,13 @@ TrialRange run_trial_range(const TrialSpec& spec, u64 master_seed, u64 begin,
   obs::init_from_env();
   const SeedStream seeds(master_seed, spec.label);
 
-  // Same sharing discipline as run_trials(): expensive per-spec state
-  // (topologies, kernel tables) is built once per range, not per trial.
-  SchedulerPtr shared_scheduler;
-  if (spec.engine == EngineKind::kScheduled && begin < end) {
-    const ProtocolPtr probe = spec.resolve_factory()();
-    shared_scheduler = make_scheduler(spec.scheduler, probe->num_agents());
-  }
-
   TrialRange out;
   out.begin = begin;
   out.end = end;
+  if (begin == end) return out;
+  // Same sharing discipline as run_trial_ranges(): protocol tables and
+  // the scheduler are built once per range, not per trial.
+  const SharedTrialState shared = prepare_trial_set(spec);
   out.records.reserve(end - begin);
   for (u64 t = begin; t < end; ++t) {
 #if PP_OBS
@@ -164,9 +173,8 @@ TrialRange run_trial_range(const TrialSpec& spec, u64 master_seed, u64 begin,
 #else
     obs::CounterBlock* const block_ptr = nullptr;
 #endif
-    out.records.push_back(run_one_trial_impl(spec, t, seeds.trial_seed(t),
-                                             shared_scheduler.get(),
-                                             block_ptr));
+    out.records.push_back(
+        run_one_trial_impl(spec, shared, t, seeds.trial_seed(t), block_ptr));
 #if PP_OBS
     out.counters.merge(block);
 #endif
@@ -198,14 +206,12 @@ std::vector<TrialRange> run_trial_ranges(
     }
   }
   const u64 total = slots.size();
+  if (total == 0) return out;
 
-  // One scheduler for every range: Scheduler::run is const and all
-  // per-run state is local, so threads can share the instance.
-  SchedulerPtr shared_scheduler;
-  if (spec.engine == EngineKind::kScheduled && total > 0) {
-    const ProtocolPtr probe = spec.resolve_factory()();
-    shared_scheduler = make_scheduler(spec.scheduler, probe->num_agents());
-  }
+  // One protocol and one scheduler for every range: fresh() and
+  // Scheduler::run are const and all per-trial state is local to the
+  // trial, so threads can share both.
+  const SharedTrialState shared = prepare_trial_set(spec);
 
 #if PP_OBS
   // One counter block per trial (merged in trial order below); skipped
@@ -222,14 +228,12 @@ std::vector<TrialRange> run_trial_ranges(
       obs::watchdog_options_from_env(spec.label, total, spec.n));
 
   // Each trial writes only its own record slot and counter block; no
-  // cross-thread state.  The shared spec is read-only (resolve_factory()
-  // copies what it captures).
+  // cross-thread state.  The shared spec and tables are read-only.
   pool.parallel_for(total, [&](u64 i) {
     const auto [t, record] = slots[i];
     monitor.trial_started(t);
     *record =
-        run_one_trial_impl(spec, t, seeds.trial_seed(t),
-                           shared_scheduler.get(),
+        run_one_trial_impl(spec, shared, t, seeds.trial_seed(t),
                            blocks_data == nullptr ? nullptr : blocks_data + i);
     monitor.trial_finished(t, record->interactions);
   });

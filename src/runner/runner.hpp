@@ -44,7 +44,10 @@ const char* engine_kind_name(EngineKind k);
 struct TrialSpec {
   /// Protocol to instantiate: a factory-registry name ("ag",
   /// "ring-of-traps", ...) with population n, or an explicit factory that
-  /// overrides both.
+  /// overrides both.  The factory is called once per trial set (once per
+  /// run_trials(), run_trial_ranges(), run_trial_range() or run_one_trial()
+  /// call), not once per trial: every trial runs on a Protocol::fresh()
+  /// instance of its result, sharing its rule table and layout.
   std::string protocol;
   u64 n = 0;
   ProtocolFactory factory;
@@ -171,7 +174,8 @@ struct TrialRange {
 /// the one pooled fan-out kernel (run_trials() is its single-range case,
 /// the service's in-process miss pass its many-range case).  Trial t is
 /// seeded derive_seed(master_seed, label, t), the pool hands out single
-/// trials across all ranges, one scheduler is shared by all of them, and
+/// trials across all ranges, one protocol (each trial runs on its
+/// fresh() instance) and one scheduler are shared by all of them, and
 /// each range's counters merge its per-trial blocks in trial order.
 /// Because a trial's stream depends only on (master_seed, label, t),
 /// folding the ranges of any partition of [0, trials) back together in

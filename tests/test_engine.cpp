@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -319,11 +320,12 @@ class SparseWeightProtocol final : public Protocol {
  public:
   explicit SparseWeightProtocol(u64 n) : Protocol(n, /*ranks=*/2,
                                                   /*extra=*/1) {
-    rules_.resize(2);
-    rules_[0] = Rule{0, 1};
-    rules_[1] = Rule{1, 2};
+    install_rules({Rule{0, 1}, Rule{1, 2}});
   }
   std::string_view name() const override { return "sparse-weight"; }
+  ProtocolPtr fresh() const override {
+    return std::make_unique<SparseWeightProtocol>(num_agents());
+  }
   std::pair<StateId, StateId> transition(StateId i, StateId r) const override {
     if (i == 2 && r == 2) return {2, 0};  // the one productive pair class
     return {i, r};
@@ -397,6 +399,10 @@ class StateCountProtocol final : public Protocol {
  public:
   StateCountProtocol(u64 ranks, u64 extra) : Protocol(2, ranks, extra) {}
   std::string_view name() const override { return "state-count"; }
+  ProtocolPtr fresh() const override {
+    return std::make_unique<StateCountProtocol>(num_ranks(),
+                                                num_extra_states());
+  }
   std::pair<StateId, StateId> transition(StateId i, StateId r) const override {
     return {i, r};
   }

@@ -252,11 +252,12 @@ TEST(Fenwick, BoundaryDifferentialAgainstNaivePrefixes) {
           ASSERT_EQ(f.prefix(q), expect) << size << " prefix " << q;
           break;
         }
-        case 3: {  // rebuild, through either assign overload
+        case 3: {  // rebuild, in one assign or from a reset
           if (rng.below(2) == 0) {
             f.assign(naive);
           } else {
-            f.assign(size, [&](u64 j) { return naive[j]; });
+            f.reset(size);
+            for (u64 j = 0; j < size; ++j) f.set(j, naive[j]);
           }
           break;
         }
@@ -275,14 +276,17 @@ TEST(Fenwick, BoundaryDifferentialAgainstNaivePrefixes) {
 }
 
 TEST(Fenwick, AssignInPlaceReusesAcrossSizes) {
-  // The in-place overload rebuilds a live tree of another size (larger,
-  // then smaller) exactly like a fresh assign of the same weights.
+  // assign() and reset() rebuild a live tree of another size (larger,
+  // then smaller) exactly like a fresh tree of the same weights.
   Fenwick f(5000);
   for (const u64 size : {9u, 4097u, 65u, 1u, 600u}) {
     std::vector<u64> w(size);
     for (u64 i = 0; i < size; ++i) w[i] = (i * 7) % 5;
-    f.assign(size, [&](u64 i) { return w[i]; });
+    f.assign(w);
     ASSERT_NO_FATAL_FAILURE(expect_matches(f, w, size));
+    f.reset(size);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_matches(f, std::vector<u64>(size, 0), size));
   }
 }
 
@@ -325,7 +329,7 @@ TEST(Fenwick, OverflowPastTheCapIsFatal) {
   EXPECT_DEATH(
       {
         Fenwick f;
-        f.assign(20, [](u64) { return u64{1} << 60; });  // 20 * 2^60
+        f.assign(std::vector<u64>(20, u64{1} << 60));  // 20 * 2^60
       },
       kMsg);
   EXPECT_DEATH(

@@ -167,6 +167,40 @@ TEST(ObsCounters, MergedCountersAreThreadCountIndependent) {
   }
 }
 
+// One ring-of-traps trial's merged block, pinned: the rank tree's updates
+// count exactly as the stored-weight tree's did (a zero-delta update, e.g.
+// a count moving between 0 and 1, counts nothing), one depth sample each.
+TEST(ObsCounters, RingOfTrapsTrialCountersArePinned) {
+#if PP_OBS
+  TrialSpec spec;
+  spec.protocol = "ring-of-traps";
+  spec.n = 240;
+  spec.label = "test-obs-ring-pin";
+  RunnerOptions opt;
+  opt.trials = 1;
+  opt.threads = 1;
+  const TrialSet set = run_trials(spec, opt);
+  ASSERT_TRUE(set.records[0].silent);
+  EXPECT_EQ(set.records[0].productive_steps, 1829u);
+  EXPECT_EQ(set.records[0].interactions, 4210888u);
+  EXPECT_EQ(
+      set.counters.to_json(),
+      "{\"counters\":{\"productive_steps\":1829,\"null_skips\":4209059,"
+      "\"fenwick_updates\":9186,\"group_touches\":0,\"roster_grows\":0,"
+      "\"roster_rejections\":0,\"fault_events\":0,"
+      "\"fault_agent_moves\":0,\"fault_state_touches\":0},"
+      "\"sketches\":{\"null_skip_gap\":{\"count\":1829,\"buckets\":{"
+      "\"0\":1,\"2\":3,\"3\":6,\"4\":10,\"5\":26,\"6\":40,\"7\":83,"
+      "\"8\":129,\"9\":200,\"10\":307,\"11\":360,\"12\":371,"
+      "\"13\":217,\"14\":58,\"15\":15,\"16\":3}},"
+      "\"fenwick_depth\":{\"count\":9186,\"buckets\":{\"2\":9186}},"
+      "\"group_size\":{\"count\":0,\"buckets\":{}},"
+      "\"fault_burst\":{\"count\":0,\"buckets\":{}}}}");
+#else
+  GTEST_SKIP() << "obs hooks compiled out (POPRANK_OBS=OFF)";
+#endif
+}
+
 // Counters must never perturb a trajectory: records with counters armed
 // equal records from the plain single-trial path (no block installed).
 TEST(ObsCounters, CountersDoNotPerturbTrajectories) {
