@@ -1,7 +1,6 @@
 #include "core/protocol.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -25,20 +24,11 @@ Protocol::Protocol(u64 num_agents, u64 num_ranks, u64 num_extra)
 Protocol::Protocol(const Protocol& tables, ShareTables)
     : n_agents_(tables.n_agents_),
       n_ranks_(tables.n_ranks_),
-      n_states_(tables.n_states_),
-      rules_(tables.rules_) {}
-
-void Protocol::install_rules(std::vector<Rule> rules) {
-  PP_ASSERT_MSG(rules.size() == n_ranks_,
-                "rule table needs one entry per rank state");
-  rules_ = std::make_shared<const std::vector<Rule>>(std::move(rules));
-}
+      n_states_(tables.n_states_) {}
 
 void Protocol::reset(Configuration c) {
   PP_ASSERT_MSG(c.num_states() == n_states_,
                 "configuration has wrong number of states");
-  PP_ASSERT_MSG(rules_ != nullptr,
-                "derived protocol did not install its rule table");
   // The configuration's vector becomes the count tree's leaves; the build
   // sums them once, overflow-checked, so the agent count needs no pass of
   // its own (and a vector whose sum wraps u64 to n never gets this far).
@@ -71,7 +61,7 @@ void Protocol::mutate(StateId s, i64 delta) {
 void Protocol::apply_rank_rule(StateId s) {
   PP_DCHECK(s < n_ranks_);
   PP_DCHECK(count(s) >= 2);
-  const Rule r = (*rules_)[s];
+  const Rule r = rule(s);
   mutate(s, -2);
   mutate(r.out1, +1);
   mutate(r.out2, +1);

@@ -7,26 +7,27 @@
 // break silence.  All four protocols in this library therefore share the
 // same backbone:
 //
-//   * a per-rank-state table of same-state rules, with a sum tree of
-//     "productive weights" c_s(c_s - 1) (the number of ordered pairs of
-//     distinct agents both in s) used to sample the next productive
-//     interaction in O(log n); and
+//   * one same-state rule per rank state, answered by rule(s) from the
+//     protocol's geometry, with a sum tree of "productive weights"
+//     c_s(c_s - 1) (the number of ordered pairs of distinct agents both in
+//     s) used to sample the next productive interaction in O(log n); and
 //   * optional protocol-specific *extra categories* covering interactions
 //     that involve extra states (the line protocol's X, the tree protocol's
 //     red/green buffer), exposed through three virtual hooks.
 //
 // Memory.  A protocol splits into two halves:
-//   * immutable tables — the rule table (8 B per rank state) and each
-//     protocol's geometry (ring/line layout, balanced tree) — built once
-//     by the constructor and held through shared_ptr<const ...>, so every
-//     instance fresh() makes shares them; and
+//   * immutable geometry — the ring/line layout or balanced tree that
+//     rule(s) and transition() read — built once by the constructor and
+//     held through shared_ptr<const ...>, so every instance fresh() makes
+//     shares it.  There is no rule table: rule(s) is arithmetic on the
+//     geometry (a ring layout is a handful of words; ag has none); and
 //   * per-instance state, loaded by reset(): the count tree (ds/fenwick.hpp:
 //     the counts as leaves plus internal levels, ~9.1 B per state) and the
 //     rank tree (a PairWeightTree reading c_s from the count tree's leaves:
 //     internal levels only, ~1.1 B per rank state).
 // The runner builds one protocol per trial set and one fresh() instance per
 // trial, so concurrent trials hold ~10.3 B per state each plus one shared
-// copy of the tables.
+// copy of the geometry.
 //
 // The two engines drive this interface in different ways:
 //   * AcceleratedEngine calls productive_weight() / step_productive() and
@@ -63,7 +64,7 @@ class Protocol {
   virtual std::string_view name() const = 0;
 
   /// A new instance of the same protocol, sharing this one's immutable
-  /// tables (rules, layout) and holding no configuration: call reset()
+  /// geometry (layout, tree) and holding no configuration: call reset()
   /// before use.  Safe to call from several threads at once.
   virtual std::unique_ptr<Protocol> fresh() const = 0;
 
@@ -74,9 +75,11 @@ class Protocol {
     StateId out1;
     StateId out2;
   };
-  /// The rule table, one entry per rank state: immutable, and shared by
-  /// every fresh() instance of this protocol.
-  const std::vector<Rule>& rules() const { return *rules_; }
+  /// The same-state rule of rank state s (s < num_ranks()), computed from
+  /// the protocol's geometry in O(1) (tree-ranking: one node lookup).  It
+  /// equals transition(s, s), which stays the independent formal δ; tests
+  /// check the two against each other for every rank state.
+  virtual Rule rule(StateId s) const = 0;
 
   /// Population size n; equals the number of rank states for ranking
   /// protocols (auxiliary sub-protocols such as the single-line model of
@@ -232,13 +235,9 @@ class Protocol {
 
   /// Tag of the constructors behind fresh().
   struct ShareTables {};
-  /// The base half of fresh(): copies `tables`' dimensions and shares its
-  /// rule table; the new instance holds no configuration.
+  /// The base half of fresh(): copies `tables`' dimensions; the new
+  /// instance holds no configuration.
   Protocol(const Protocol& tables, ShareTables);
-
-  /// Installs the rule table; derived constructors must call it with one
-  /// entry per rank state.
-  void install_rules(std::vector<Rule> rules);
 
   /// --- hooks for protocols with extra states ------------------------
   /// Number of productive ordered pairs not counted by the rank tree
@@ -273,7 +272,6 @@ class Protocol {
   u64 n_agents_;
   u64 n_ranks_;
   u64 n_states_;
-  std::shared_ptr<const std::vector<Rule>> rules_;  // shared by fresh()
   Fenwick count_all_;           // all states: c_s (the leaves are counts())
   PairWeightTree rank_weight_;  // rank states: c_s (c_s - 1), read from
                                 // count_all_'s leaves

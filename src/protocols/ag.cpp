@@ -1,17 +1,10 @@
 #include "protocols/ag.hpp"
 
 #include <utility>
-#include <vector>
 
 namespace pp {
 
-AgProtocol::AgProtocol(u64 n) : Protocol(n, n, /*num_extra=*/0) {
-  std::vector<Rule> rules(n);
-  for (StateId i = 0; i < n; ++i) {
-    rules[i] = Rule{i, static_cast<StateId>((i + 1) % n)};
-  }
-  install_rules(std::move(rules));
-}
+AgProtocol::AgProtocol(u64 n) : Protocol(n, n, /*num_extra=*/0) {}
 
 ProtocolPtr AgProtocol::fresh() const {
   return ProtocolPtr(new AgProtocol(*this, ShareTables{}));

@@ -8,26 +8,21 @@ namespace pp {
 
 LineOfTrapsProtocol::LineOfTrapsProtocol(u64 n)
     : Protocol(n, n, /*num_extra=*/1),
-      layout_(std::make_shared<const LineLayout>(n)) {
-  const LineLayout& layout = *layout_;
-  std::vector<Rule> rules(n);
-  const u64 traps = layout.traps_per_line();
-  for (u64 l = 0; l < layout.num_lines(); ++l) {
-    for (u64 a = 0; a < traps; ++a) {
-      const StateId gate = layout.gate(l, a);
-      const StateId forward = (a == 0) ? x_state() : layout.gate(l, a - 1);
-      rules[gate] = Rule{layout.top(l, a), forward};
-      for (u64 b = 1; b < layout.trap_size(l, a); ++b) {
-        const StateId s = static_cast<StateId>(gate + b);
-        rules[s] = Rule{s, static_cast<StateId>(s - 1)};
-      }
-    }
-  }
-  install_rules(std::move(rules));
-}
+      layout_(std::make_shared<const LineLayout>(n)) {}
 
 ProtocolPtr LineOfTrapsProtocol::fresh() const {
   return ProtocolPtr(new LineOfTrapsProtocol(*this, ShareTables{}));
+}
+
+Protocol::Rule LineOfTrapsProtocol::rule(StateId s) const {
+  const LineLayout& layout = *layout_;
+  // Inner state: the responder descends one step.
+  if (layout.local_of(s) > 0) return {s, static_cast<StateId>(s - 1)};
+  // Gate: one agent re-enters at the top, the other moves one trap towards
+  // the exit; the exit gate releases it to X.
+  const u64 l = layout.line_of(s);
+  const u64 a = layout.trap_of(s);
+  return {layout.top(l, a), a == 0 ? x_state() : layout.gate(l, a - 1)};
 }
 
 u64 LineOfTrapsProtocol::extra_weight() const {
@@ -183,21 +178,16 @@ SingleLineProtocol::SingleLineProtocol(u64 num_agents, u64 traps, u64 inner)
       traps_(traps),
       inner_(inner) {
   PP_ASSERT(traps >= 1 && inner >= 1);
-  std::vector<Rule> rules(num_ranks());
-  for (u64 a = 0; a < traps_; ++a) {
-    const StateId g = gate(a);
-    const StateId forward = (a == 0) ? x_state() : gate(a - 1);
-    rules[g] = Rule{top(a), forward};
-    for (u64 b = 1; b <= inner_; ++b) {
-      const StateId s = static_cast<StateId>(g + b);
-      rules[s] = Rule{s, static_cast<StateId>(s - 1)};
-    }
-  }
-  install_rules(std::move(rules));
 }
 
 ProtocolPtr SingleLineProtocol::fresh() const {
   return ProtocolPtr(new SingleLineProtocol(*this, ShareTables{}));
+}
+
+Protocol::Rule SingleLineProtocol::rule(StateId s) const {
+  const u64 a = s / (inner_ + 1);
+  if (s != gate(a)) return {s, static_cast<StateId>(s - 1)};
+  return {top(a), a == 0 ? x_state() : gate(a - 1)};
 }
 
 std::pair<StateId, StateId> SingleLineProtocol::transition(

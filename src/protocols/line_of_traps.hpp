@@ -45,6 +45,7 @@ class LineOfTrapsProtocol final : public Protocol {
 
   std::string_view name() const override { return "line-of-traps"; }
   ProtocolPtr fresh() const override;
+  Rule rule(StateId s) const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
   std::string describe_state(StateId s) const override;
@@ -111,6 +112,7 @@ class SingleLineProtocol final : public Protocol {
 
   std::string_view name() const override { return "single-line"; }
   ProtocolPtr fresh() const override;
+  Rule rule(StateId s) const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
 

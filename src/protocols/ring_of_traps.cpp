@@ -1,7 +1,6 @@
 #include "protocols/ring_of_traps.hpp"
 
 #include <utility>
-#include <vector>
 
 namespace pp {
 
@@ -14,26 +13,21 @@ RingOfTrapsProtocol::RingOfTrapsProtocol(u64 n, u64 traps)
 RingOfTrapsProtocol::RingOfTrapsProtocol(
     std::shared_ptr<const RingLayout> tables)
     : Protocol(tables->num_states(), tables->num_states(), /*num_extra=*/0),
-      layout_(std::move(tables)) {
-  const RingLayout& layout = *layout_;
-  std::vector<Rule> rules(layout.num_states());
-  for (u64 a = 0; a < layout.num_traps(); ++a) {
-    const StateId gate = layout.gate(a);
-    // Gate: one agent re-enters at the top inner state, the other moves on
-    // to the next trap's gate.  (For a degenerate single-state trap the top
-    // state *is* the gate, so the rule reduces to forwarding one agent.)
-    rules[gate] = Rule{layout.top(a), layout.next_gate(a)};
-    // Inner states: the responder descends one step.
-    for (u64 b = 1; b < layout.trap_size(a); ++b) {
-      const StateId s = static_cast<StateId>(gate + b);
-      rules[s] = Rule{s, static_cast<StateId>(s - 1)};
-    }
-  }
-  install_rules(std::move(rules));
-}
+      layout_(std::move(tables)) {}
 
 ProtocolPtr RingOfTrapsProtocol::fresh() const {
   return ProtocolPtr(new RingOfTrapsProtocol(*this, ShareTables{}));
+}
+
+Protocol::Rule RingOfTrapsProtocol::rule(StateId s) const {
+  const RingLayout& layout = *layout_;
+  const u64 a = layout.trap_of(s);
+  // Inner state: the responder descends one step.
+  if (s != layout.gate(a)) return {s, static_cast<StateId>(s - 1)};
+  // Gate: one agent re-enters at the top inner state, the other moves on to
+  // the next trap's gate.  (For a degenerate single-state trap the top
+  // state *is* the gate, so the rule reduces to forwarding one agent.)
+  return {layout.top(a), layout.next_gate(a)};
 }
 
 std::pair<StateId, StateId> RingOfTrapsProtocol::transition(

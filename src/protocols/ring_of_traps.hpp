@@ -36,6 +36,7 @@ class RingOfTrapsProtocol final : public Protocol {
 
   std::string_view name() const override { return "ring-of-traps"; }
   ProtocolPtr fresh() const override;
+  Rule rule(StateId s) const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
   std::string describe_state(StateId s) const override;

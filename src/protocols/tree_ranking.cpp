@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <utility>
-#include <vector>
 
 #include "common/assert.hpp"
 
@@ -23,22 +22,19 @@ TreeRankingProtocol::TreeRankingProtocol(u64 n, u64 k, ResetMode mode)
       k_(k == 0 ? default_k(n) : k),
       mode_(mode) {
   PP_ASSERT_MSG(k_ >= 1, "buffer line needs at least X_1, X_2");
-  const BalancedTree& tree = *tree_;
-  std::vector<Rule> rules(n);
-  for (StateId p = 0; p < n; ++p) {
-    if (tree.is_leaf(p)) {
-      rules[p] = Rule{x_state(1), x_state(1)};  // R2: reset signal
-    } else if (tree.is_branching(p)) {
-      rules[p] = Rule{tree.left_child(p), tree.right_child(p)};  // R1
-    } else {
-      rules[p] = Rule{p, tree.left_child(p)};  // R1, lone child = p+1
-    }
-  }
-  install_rules(std::move(rules));
 }
 
 ProtocolPtr TreeRankingProtocol::fresh() const {
   return ProtocolPtr(new TreeRankingProtocol(*this, ShareTables{}));
+}
+
+Protocol::Rule TreeRankingProtocol::rule(StateId p) const {
+  const BalancedTree& tree = *tree_;
+  if (tree.is_leaf(p)) return {x_state(1), x_state(1)};  // R2: reset signal
+  if (tree.is_branching(p)) {
+    return {tree.left_child(p), tree.right_child(p)};  // R1
+  }
+  return {p, tree.left_child(p)};  // R1, lone child = p+1
 }
 
 u64 TreeRankingProtocol::extra_weight() const {

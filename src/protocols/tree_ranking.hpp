@@ -62,6 +62,7 @@ class TreeRankingProtocol final : public Protocol {
                                          : "tree-ranking-modified";
   }
   ProtocolPtr fresh() const override;
+  Rule rule(StateId p) const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
   std::string describe_state(StateId s) const override;

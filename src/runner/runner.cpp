@@ -60,7 +60,7 @@ std::vector<double> TrialSet::parallel_times() const {
 namespace {
 
 // What every trial of a set shares, built once per set: the factory's
-// protocol, whose fresh() instances share its rule table and layout, and
+// protocol, whose fresh() instances share its layout or tree, and
 // (for EngineKind::kScheduled) the scheduler — immutable and thread-safe,
 // and graph topologies can be O(n^2) to construct.
 struct SharedTrialState {

@@ -47,7 +47,7 @@ struct TrialSpec {
   /// overrides both.  The factory is called once per trial set (once per
   /// run_trials(), run_trial_ranges(), run_trial_range() or run_one_trial()
   /// call), not once per trial: every trial runs on a Protocol::fresh()
-  /// instance of its result, sharing its rule table and layout.
+  /// instance of its result, sharing its layout or tree.
   std::string protocol;
   u64 n = 0;
   ProtocolFactory factory;

@@ -1,5 +1,6 @@
 #include "schedulers/churn.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -50,15 +51,15 @@ RunResult ChurnScheduler::run(Protocol& p, Rng& rng,
   PP_ASSERT_MSG(n >= 2, "churn scheduler needs n >= 2 (no pairs otherwise)");
   const u64 storm_ticks = active_ != 0 ? active_ : 50 * n;
 
-  // Fast-path scratch, allocated once per run: net per-state deltas of one
-  // burst plus the list of states the burst touched, so deciding "did the
-  // burst change the configuration" and clearing the scratch both cost
-  // O(faults), never O(states).
-  std::vector<i64> delta;
-  std::vector<StateId> touched;
+  // Fast-path scratch, O(faults): the states one burst took agents from
+  // and the states it put them in.  The burst net-changed the configuration
+  // iff the two differ as multisets, which sorting both decides in
+  // O(faults log faults), never O(states).
+  std::vector<StateId> sources;
+  std::vector<StateId> sinks;
   if (!rebuild_reference_) {
-    delta.assign(p.num_states(), 0);
-    touched.reserve(2 * faults_);
+    sources.reserve(faults_);
+    sinks.reserve(faults_);
   }
 
   RunResult r;
@@ -100,17 +101,14 @@ RunResult ChurnScheduler::run(Protocol& p, Rng& rng,
           if (victim == target) continue;
           p.move_agent(victim, target);
           PP_OBS_ADD(kFaultStateTouches, 2);
-          if (delta[victim] == 0) touched.push_back(victim);
-          --delta[victim];
-          if (delta[target] == 0) touched.push_back(target);
-          ++delta[target];
+          sources.push_back(victim);
+          sinks.push_back(target);
         }
-        changed = false;
-        for (const StateId s : touched) {
-          if (delta[s] != 0) changed = true;
-          delta[s] = 0;
-        }
-        touched.clear();
+        std::sort(sources.begin(), sources.end());
+        std::sort(sinks.begin(), sinks.end());
+        changed = sources != sinks;
+        sources.clear();
+        sinks.clear();
         // Mirror the reference path: on_reset() fires only when the burst
         // net-changed the configuration.
         if (changed) p.commit_moves();

@@ -22,23 +22,16 @@ u64 canonical_traps(u64 n) {
 
 RingLayout::RingLayout(u64 n) : RingLayout(n, canonical_traps(n)) {}
 
-RingLayout::RingLayout(u64 n, u64 m) : n_(n) {
+// m == 0 (from canonical_traps(n) for n < 2) must reach the asserts
+// below, so the initialisers may not divide by it.
+RingLayout::RingLayout(u64 n, u64 m)
+    : n_(n),
+      traps_(m),
+      base_(m == 0 ? 0 : n / m),
+      rem_(m == 0 ? 0 : n % m),
+      split_(rem_ * (base_ + 1)) {
   PP_ASSERT_MSG(n >= 2, "RingLayout requires n >= 2");
   PP_ASSERT_MSG(m >= 1 && m <= n, "trap count out of range");
-
-  const u64 base = n / m;
-  const u64 rem = n % m;
-  offsets_.reserve(m);
-  trap_of_.resize(n);
-  u64 off = 0;
-  for (u64 a = 0; a < m; ++a) {
-    offsets_.push_back(off);
-    const u64 size = base + (a < rem ? 1 : 0);
-    for (u64 b = 0; b < size; ++b) trap_of_[off + b] = static_cast<u32>(a);
-    off += size;
-    if (size > max_size_) max_size_ = size;
-  }
-  PP_ASSERT(off == n);
 }
 
 u64 RingLayout::lemma3_weight(std::span<const u64> counts) const {

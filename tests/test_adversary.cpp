@@ -212,7 +212,7 @@ void expect_pinned(const char* proto, u64 n, u64 seed, u64 budget,
 }
 
 // Recorded from run_adversarial() as it stood before the Scheduler port.
-// If the port (or anything upstream: Rng, initial::, the rule tables)
+// If the port (or anything upstream: Rng, initial::, the rank rules)
 // changes the firing sequence, these fail — that is the point.
 TEST(AdversaryPinned, AgTrajectoryRegression) {
   // ag n=16, uniform_random start, seed 42: every policy fires exactly 29

@@ -1,8 +1,8 @@
 // Protocol::fresh() and the runner's one-protocol-per-trial-set path:
-// fresh() instances share their factory build's immutable tables (rule
-// table, layout) yet hold independent configurations, and trials run on
-// them reproduce trials run on a factory build of their own, bit for bit,
-// at every thread count.
+// fresh() instances share their factory build's immutable geometry (ring or
+// line layout, balanced tree) yet hold independent configurations, and
+// trials run on them reproduce trials run on a factory build of their own,
+// bit for bit, at every thread count.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -46,7 +46,8 @@ std::vector<Case> cases() {
   return out;
 }
 
-// The tables fresh() shares beyond the rule table, by address.
+// The geometry fresh() shares, by address (ag and single-line have none:
+// their rules are arithmetic on the state id).
 const void* layout_of(const Protocol& p) {
   if (const auto* r = dynamic_cast<const RingOfTrapsProtocol*>(&p)) {
     return &r->layout();
@@ -77,8 +78,6 @@ TEST(ProtocolSharing, FreshInstancesShareTablesAndNothingElse) {
     EXPECT_EQ(a->name(), probe->name()) << c.name;
     EXPECT_EQ(a->num_agents(), probe->num_agents()) << c.name;
     EXPECT_EQ(a->num_states(), probe->num_states()) << c.name;
-    EXPECT_EQ(&a->rules(), &probe->rules()) << c.name;
-    EXPECT_EQ(&a->rules(), &b->rules()) << c.name;
     EXPECT_EQ(layout_of(*a), layout_of(*probe)) << c.name;
     EXPECT_EQ(layout_of(*a), layout_of(*b)) << c.name;
     const void* layout = layout_of(*a);

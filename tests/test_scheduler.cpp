@@ -92,7 +92,7 @@ TEST(SchedulerUniform, AcceleratedBitIdenticalToRunAccelerated) {
 
 // Pinned pre-refactor trajectories: these literals were recorded from the
 // engines as they stood before the scheduler extraction.  If either engine
-// (or anything upstream of it: Rng, initial::, the AG rule table) changes
+// (or anything upstream of it: Rng, initial::, the AG rule) changes
 // its draw sequence, this fails — that is the point.
 TEST(SchedulerUniform, PinnedTrajectoryRegression) {
   const UniformScheduler uniform;
