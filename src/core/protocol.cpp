@@ -21,11 +21,6 @@ Protocol::Protocol(u64 num_agents, u64 num_ranks, u64 num_extra)
   PP_ASSERT_MSG(n_ranks_ >= 1, "need at least one rank state");
 }
 
-Protocol::Protocol(const Protocol& tables, ShareTables)
-    : n_agents_(tables.n_agents_),
-      n_ranks_(tables.n_ranks_),
-      n_states_(tables.n_states_) {}
-
 void Protocol::reset(Configuration c) {
   PP_ASSERT_MSG(c.num_states() == n_states_,
                 "configuration has wrong number of states");
@@ -61,10 +56,10 @@ void Protocol::mutate(StateId s, i64 delta) {
 void Protocol::apply_rank_rule(StateId s) {
   PP_DCHECK(s < n_ranks_);
   PP_DCHECK(count(s) >= 2);
-  const Rule r = rule(s);
+  const auto [out1, out2] = transition(s, s);
   mutate(s, -2);
-  mutate(r.out1, +1);
-  mutate(r.out2, +1);
+  mutate(out1, +1);
+  mutate(out2, +1);
 }
 
 void Protocol::step_productive(Rng& rng) {

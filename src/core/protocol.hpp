@@ -7,20 +7,20 @@
 // break silence.  All four protocols in this library therefore share the
 // same backbone:
 //
-//   * one same-state rule per rank state, answered by rule(s) from the
-//     protocol's geometry, with a sum tree of "productive weights"
-//     c_s(c_s - 1) (the number of ordered pairs of distinct agents both in
-//     s) used to sample the next productive interaction in O(log n); and
+//   * one same-state rule per rank state, transition(s, s), with a sum
+//     tree of "productive weights" c_s(c_s - 1) (the number of ordered
+//     pairs of distinct agents both in s) used to sample the next
+//     productive interaction in O(log n); and
 //   * optional protocol-specific *extra categories* covering interactions
 //     that involve extra states (the line protocol's X, the tree protocol's
 //     red/green buffer), exposed through three virtual hooks.
 //
 // Memory.  A protocol splits into two halves:
 //   * immutable geometry — the ring/line layout or balanced tree that
-//     rule(s) and transition() read — built once by the constructor and
-//     held through shared_ptr<const ...>, so every instance fresh() makes
-//     shares it.  There is no rule table: rule(s) is arithmetic on the
-//     geometry (a ring layout is a handful of words; ag has none); and
+//     transition() reads — built once by the constructor and held through
+//     shared_ptr<const ...>, so every instance fresh() makes shares it.
+//     There is no rule table: a rank rule is arithmetic on the geometry
+//     (a ring layout is a handful of words; ag has none); and
 //   * per-instance state, loaded by reset(): the count tree (ds/fenwick.hpp:
 //     the counts as leaves plus internal levels, ~9.1 B per state) and the
 //     rank tree (a PairWeightTree reading c_s from the count tree's leaves:
@@ -67,19 +67,6 @@ class Protocol {
   /// geometry (layout, tree) and holding no configuration: call reset()
   /// before use.  Safe to call from several threads at once.
   virtual std::unique_ptr<Protocol> fresh() const = 0;
-
-  /// Same-state rule (s,s) -> (out1, out2) of rank state s (outputs may be
-  /// extra states).  Every rule changes the configuration (out1 != s or
-  /// out2 != s).
-  struct Rule {
-    StateId out1;
-    StateId out2;
-  };
-  /// The same-state rule of rank state s (s < num_ranks()), computed from
-  /// the protocol's geometry in O(1) (tree-ranking: one node lookup).  It
-  /// equals transition(s, s), which stays the independent formal δ; tests
-  /// check the two against each other for every rank state.
-  virtual Rule rule(StateId s) const = 0;
 
   /// Population size n; equals the number of rank states for ranking
   /// protocols (auxiliary sub-protocols such as the single-line model of
@@ -217,11 +204,14 @@ class Protocol {
   /// (initiator', responder') — the paper's rule set, written down
   /// directly.  Null interactions return the inputs unchanged.
   ///
-  /// This is deliberately *independent* of the optimized count/Fenwick
-  /// machinery driving step_productive()/step_uniform(): the agent-level
+  /// It is the only code for the same-state rank rules: step_productive()
+  /// and step_uniform() fire one as transition(s, s), while the extra-state
+  /// hooks below re-express the cross rules on counts.  The agent-level
   /// reference simulator (core/agent_simulator.hpp) runs on transition()
-  /// alone, and consistency tests check the two implementations against
-  /// each other pair-by-pair and trajectory-by-trajectory.
+  /// alone, so consistency tests check the count/Fenwick machinery (the
+  /// samplers, the bookkeeping, the extra-state hooks) against it
+  /// pair-by-pair and trajectory-by-trajectory.  Every same-state rank pair
+  /// must be productive: transition(s, s) != (s, s) for s < num_ranks().
   virtual std::pair<StateId, StateId> transition(StateId initiator,
                                                  StateId responder) const = 0;
 
@@ -232,12 +222,6 @@ class Protocol {
   /// A ranking protocol has num_agents == num_ranks; auxiliary
   /// sub-protocols may simulate fewer/more agents than rank states.
   Protocol(u64 num_agents, u64 num_ranks, u64 num_extra);
-
-  /// Tag of the constructors behind fresh().
-  struct ShareTables {};
-  /// The base half of fresh(): copies `tables`' dimensions; the new
-  /// instance holds no configuration.
-  Protocol(const Protocol& tables, ShareTables);
 
   /// --- hooks for protocols with extra states ------------------------
   /// Number of productive ordered pairs not counted by the rank tree
@@ -257,7 +241,8 @@ class Protocol {
   /// count_bound_ and extra_agents_ consistent.  With reset(), the only
   /// writer of the count tree.
   void mutate(StateId s, i64 delta);
-  /// Fires the same-state rule of rank state s (two agents in s interact).
+  /// Fires the same-state rule transition(s, s) of rank state s (two agents
+  /// in s interact).
   void apply_rank_rule(StateId s);
   u64 count(StateId s) const { return count_all_.get(s); }
   /// Total number of agents currently in rank states.

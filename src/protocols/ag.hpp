@@ -22,19 +22,11 @@ class AgProtocol final : public Protocol {
 
   std::string_view name() const override { return "ag"; }
   ProtocolPtr fresh() const override;
-  /// i + i -> i + (i + 1 mod n): no table, and no division.
-  Rule rule(StateId s) const override {
-    return {s, static_cast<StateId>(s + 1 == num_ranks() ? 0 : s + 1)};
-  }
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
   /// The single rule family is diagonal (i,i) -> (i, i+1 mod n) on rank
   /// states only — AG's dynamics are a pure function of the count vector.
   bool is_count_determined() const override { return true; }
-
- private:
-  AgProtocol(const AgProtocol& tables, ShareTables tag)
-      : Protocol(tables, tag) {}
 };
 
 }  // namespace pp

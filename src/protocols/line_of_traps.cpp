@@ -1,5 +1,6 @@
 #include "protocols/line_of_traps.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -10,19 +11,13 @@ LineOfTrapsProtocol::LineOfTrapsProtocol(u64 n)
     : Protocol(n, n, /*num_extra=*/1),
       layout_(std::make_shared<const LineLayout>(n)) {}
 
-ProtocolPtr LineOfTrapsProtocol::fresh() const {
-  return ProtocolPtr(new LineOfTrapsProtocol(*this, ShareTables{}));
-}
+LineOfTrapsProtocol::LineOfTrapsProtocol(
+    std::shared_ptr<const LineLayout> layout)
+    : Protocol(layout->num_states(), layout->num_states(), /*num_extra=*/1),
+      layout_(std::move(layout)) {}
 
-Protocol::Rule LineOfTrapsProtocol::rule(StateId s) const {
-  const LineLayout& layout = *layout_;
-  // Inner state: the responder descends one step.
-  if (layout.local_of(s) > 0) return {s, static_cast<StateId>(s - 1)};
-  // Gate: one agent re-enters at the top, the other moves one trap towards
-  // the exit; the exit gate releases it to X.
-  const u64 l = layout.line_of(s);
-  const u64 a = layout.trap_of(s);
-  return {layout.top(l, a), a == 0 ? x_state() : layout.gate(l, a - 1)};
+ProtocolPtr LineOfTrapsProtocol::fresh() const {
+  return ProtocolPtr(new LineOfTrapsProtocol(layout_));
 }
 
 u64 LineOfTrapsProtocol::extra_weight() const {
@@ -181,13 +176,7 @@ SingleLineProtocol::SingleLineProtocol(u64 num_agents, u64 traps, u64 inner)
 }
 
 ProtocolPtr SingleLineProtocol::fresh() const {
-  return ProtocolPtr(new SingleLineProtocol(*this, ShareTables{}));
-}
-
-Protocol::Rule SingleLineProtocol::rule(StateId s) const {
-  const u64 a = s / (inner_ + 1);
-  if (s != gate(a)) return {s, static_cast<StateId>(s - 1)};
-  return {top(a), a == 0 ? x_state() : gate(a - 1)};
+  return std::make_unique<SingleLineProtocol>(num_agents(), traps_, inner_);
 }
 
 std::pair<StateId, StateId> SingleLineProtocol::transition(

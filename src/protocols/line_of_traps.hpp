@@ -45,7 +45,6 @@ class LineOfTrapsProtocol final : public Protocol {
 
   std::string_view name() const override { return "line-of-traps"; }
   ProtocolPtr fresh() const override;
-  Rule rule(StateId s) const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
   std::string describe_state(StateId s) const override;
@@ -78,8 +77,8 @@ class LineOfTrapsProtocol final : public Protocol {
   bool apply_cross(StateId initiator, StateId responder) override;
 
  private:
-  LineOfTrapsProtocol(const LineOfTrapsProtocol& tables, ShareTables tag)
-      : Protocol(tables, tag), layout_(tables.layout_) {}
+  /// The constructor behind fresh(), which passes its shared layout.
+  explicit LineOfTrapsProtocol(std::shared_ptr<const LineLayout> layout);
 
   std::shared_ptr<const LineLayout> layout_;  // shared by fresh()
 };
@@ -112,7 +111,6 @@ class SingleLineProtocol final : public Protocol {
 
   std::string_view name() const override { return "single-line"; }
   ProtocolPtr fresh() const override;
-  Rule rule(StateId s) const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
 
@@ -135,9 +133,6 @@ class SingleLineProtocol final : public Protocol {
   bool apply_cross(StateId, StateId) override { return false; }  // X inert
 
  private:
-  SingleLineProtocol(const SingleLineProtocol& tables, ShareTables tag)
-      : Protocol(tables, tag), traps_(tables.traps_), inner_(tables.inner_) {}
-
   u64 traps_;
   u64 inner_;
 };

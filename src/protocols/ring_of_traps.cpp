@@ -11,36 +11,28 @@ RingOfTrapsProtocol::RingOfTrapsProtocol(u64 n, u64 traps)
     : RingOfTrapsProtocol(std::make_shared<const RingLayout>(n, traps)) {}
 
 RingOfTrapsProtocol::RingOfTrapsProtocol(
-    std::shared_ptr<const RingLayout> tables)
-    : Protocol(tables->num_states(), tables->num_states(), /*num_extra=*/0),
-      layout_(std::move(tables)) {}
+    std::shared_ptr<const RingLayout> layout)
+    : Protocol(layout->num_states(), layout->num_states(), /*num_extra=*/0),
+      layout_(std::move(layout)) {}
 
 ProtocolPtr RingOfTrapsProtocol::fresh() const {
-  return ProtocolPtr(new RingOfTrapsProtocol(*this, ShareTables{}));
-}
-
-Protocol::Rule RingOfTrapsProtocol::rule(StateId s) const {
-  const RingLayout& layout = *layout_;
-  const u64 a = layout.trap_of(s);
-  // Inner state: the responder descends one step.
-  if (s != layout.gate(a)) return {s, static_cast<StateId>(s - 1)};
-  // Gate: one agent re-enters at the top inner state, the other moves on to
-  // the next trap's gate.  (For a degenerate single-state trap the top
-  // state *is* the gate, so the rule reduces to forwarding one agent.)
-  return {layout.top(a), layout.next_gate(a)};
+  return ProtocolPtr(new RingOfTrapsProtocol(layout_));
 }
 
 std::pair<StateId, StateId> RingOfTrapsProtocol::transition(
     StateId initiator, StateId responder) const {
   if (initiator != responder) return {initiator, responder};
   const StateId s = initiator;
-  if (layout_->local_of(s) > 0) {
+  const RingLayout& layout = *layout_;
+  const u64 a = layout.trap_of(s);
+  if (s != layout.gate(a)) {
     // Inner rule R_i: (a,b) + (a,b) -> (a,b) + (a,b-1).
     return {s, static_cast<StateId>(s - 1)};
   }
-  // Gate rule R_g: (a,0) + (a,0) -> (a,m) + ((a+1) mod m, 0).
-  const u64 a = layout_->trap_of(s);
-  return {layout_->top(a), layout_->next_gate(a)};
+  // Gate rule R_g: (a,0) + (a,0) -> (a,m) + ((a+1) mod m, 0).  (For a
+  // degenerate single-state trap the top state *is* the gate, so the rule
+  // reduces to forwarding one agent.)
+  return {layout.top(a), layout.next_gate(a)};
 }
 
 std::string RingOfTrapsProtocol::describe_state(StateId s) const {

@@ -36,7 +36,6 @@ class RingOfTrapsProtocol final : public Protocol {
 
   std::string_view name() const override { return "ring-of-traps"; }
   ProtocolPtr fresh() const override;
-  Rule rule(StateId s) const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
   std::string describe_state(StateId s) const override;
@@ -52,9 +51,8 @@ class RingOfTrapsProtocol final : public Protocol {
   u64 lemma3_weight() const { return layout_->lemma3_weight(counts()); }
 
  private:
-  explicit RingOfTrapsProtocol(std::shared_ptr<const RingLayout> tables);
-  RingOfTrapsProtocol(const RingOfTrapsProtocol& tables, ShareTables tag)
-      : Protocol(tables, tag), layout_(tables.layout_) {}
+  /// Also the constructor behind fresh(), which passes its shared layout.
+  explicit RingOfTrapsProtocol(std::shared_ptr<const RingLayout> layout);
 
   std::shared_ptr<const RingLayout> layout_;  // shared by fresh()
 };

@@ -24,17 +24,15 @@ TreeRankingProtocol::TreeRankingProtocol(u64 n, u64 k, ResetMode mode)
   PP_ASSERT_MSG(k_ >= 1, "buffer line needs at least X_1, X_2");
 }
 
-ProtocolPtr TreeRankingProtocol::fresh() const {
-  return ProtocolPtr(new TreeRankingProtocol(*this, ShareTables{}));
-}
+TreeRankingProtocol::TreeRankingProtocol(
+    std::shared_ptr<const BalancedTree> tree, u64 k, ResetMode mode)
+    : Protocol(tree->size(), tree->size(), /*num_extra=*/2 * k),
+      tree_(std::move(tree)),
+      k_(k),
+      mode_(mode) {}
 
-Protocol::Rule TreeRankingProtocol::rule(StateId p) const {
-  const BalancedTree& tree = *tree_;
-  if (tree.is_leaf(p)) return {x_state(1), x_state(1)};  // R2: reset signal
-  if (tree.is_branching(p)) {
-    return {tree.left_child(p), tree.right_child(p)};  // R1
-  }
-  return {p, tree.left_child(p)};  // R1, lone child = p+1
+ProtocolPtr TreeRankingProtocol::fresh() const {
+  return ProtocolPtr(new TreeRankingProtocol(tree_, k_, mode_));
 }
 
 u64 TreeRankingProtocol::extra_weight() const {

@@ -62,7 +62,6 @@ class TreeRankingProtocol final : public Protocol {
                                          : "tree-ranking-modified";
   }
   ProtocolPtr fresh() const override;
-  Rule rule(StateId p) const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
   std::string describe_state(StateId s) const override;
@@ -99,11 +98,9 @@ class TreeRankingProtocol final : public Protocol {
   bool apply_cross(StateId initiator, StateId responder) override;
 
  private:
-  TreeRankingProtocol(const TreeRankingProtocol& tables, ShareTables tag)
-      : Protocol(tables, tag),
-        tree_(tables.tree_),
-        k_(tables.k_),
-        mode_(tables.mode_) {}
+  /// The constructor behind fresh(), which passes its shared tree.
+  TreeRankingProtocol(std::shared_ptr<const BalancedTree> tree, u64 k,
+                      ResetMode mode);
 
   /// 1-based buffer index of extra state s.
   u64 x_index(StateId s) const { return s - num_ranks() + 1; }

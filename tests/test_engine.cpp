@@ -324,10 +324,6 @@ class SparseWeightProtocol final : public Protocol {
   ProtocolPtr fresh() const override {
     return std::make_unique<SparseWeightProtocol>(num_agents());
   }
-  // Rank states hold no agents here, so these rules never fire.
-  Rule rule(StateId s) const override {
-    return {s, static_cast<StateId>(s + 1)};
-  }
   std::pair<StateId, StateId> transition(StateId i, StateId r) const override {
     if (i == 2 && r == 2) return {2, 0};  // the one productive pair class
     return {i, r};
@@ -394,9 +390,9 @@ TEST(EngineDegenerate, SingleAgentPopulationsAreRejected) {
   }
 }
 
-// A protocol shell with arbitrary state counts and no productive rules:
-// only the Protocol base constructor runs, so its limits are checked before
-// any derived allocation could be attempted.
+// A protocol shell with arbitrary state counts and no rules: only the
+// Protocol base constructor runs, so its limits are checked before any
+// derived allocation could be attempted.
 class StateCountProtocol final : public Protocol {
  public:
   StateCountProtocol(u64 ranks, u64 extra) : Protocol(2, ranks, extra) {}
@@ -405,8 +401,6 @@ class StateCountProtocol final : public Protocol {
     return std::make_unique<StateCountProtocol>(num_ranks(),
                                                 num_extra_states());
   }
-  // Never fired: the shell is constructed, never loaded or run.
-  Rule rule(StateId s) const override { return {s, s}; }
   std::pair<StateId, StateId> transition(StateId i, StateId r) const override {
     return {i, r};
   }

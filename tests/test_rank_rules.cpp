@@ -1,11 +1,14 @@
-// Protocol::rule(s), the arithmetic rule path every productive rank event
-// takes, checked exhaustively against the formal δ: rule(s) must equal
-// transition(s, s) for every rank state s of every protocol shape.  Also
-// checks RingLayout's O(1) geometry against a layout built the obvious way,
-// one state at a time.
+// The same-state rank rules that every productive rank event fires, as
+// transition(s, s), checked exhaustively: for every rank state s of every
+// protocol shape the rule must change the configuration (the rank tree
+// counts all c_s (c_s - 1) same-state pairs as productive) and land on a
+// valid state; ag and ring-of-traps are also checked against the paper's
+// rule schemas on a layout built the obvious way, one state at a time, and
+// RingLayout's O(1) geometry against that layout.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/protocol.hpp"
@@ -18,28 +21,27 @@
 namespace pp {
 namespace {
 
-// Number of rank states whose rule disagrees with transition(s, s).
-u64 rule_mismatches(const Protocol& p) {
+// Number of rank states s whose rule transition(s, s) is null or leaves
+// the state space.
+u64 bad_rank_rules(const Protocol& p) {
   u64 bad = 0;
   for (u64 s = 0; s < p.num_ranks(); ++s) {
     const StateId id = static_cast<StateId>(s);
-    const Protocol::Rule r = p.rule(id);
     const auto [t1, t2] = p.transition(id, id);
-    if (r.out1 != t1 || r.out2 != t2) {
+    const bool productive = t1 != id || t2 != id;
+    const bool in_range = t1 < p.num_states() && t2 < p.num_states();
+    if (!productive || !in_range) {
       if (bad++ < 5) {
         ADD_FAILURE() << p.name() << " n=" << p.num_agents() << " state "
-                      << p.describe_state(id) << ": rule -> (" << r.out1
-                      << "," << r.out2 << "), transition -> (" << t1 << ","
-                      << t2 << ")";
+                      << p.describe_state(id) << " -> (" << t1 << "," << t2
+                      << ")";
       }
     }
-    // Every rule changes the configuration.
-    EXPECT_TRUE(r.out1 != id || r.out2 != id) << p.name() << " state " << s;
   }
   return bad;
 }
 
-TEST(RankRules, RegistryProtocolsMatchTransition) {
+TEST(RankRules, RegistryProtocolsFireEverySameStatePair) {
   for (const auto name : protocol_names()) {
     // The smallest legal n, canonical sizes, and sizes whose traps (or
     // lines, or subtrees) come out uneven.
@@ -48,32 +50,29 @@ TEST(RankRules, RegistryProtocolsMatchTransition) {
     if (name == "line-of-traps") sizes = {72, 73, 100, 1000, 1440, 2000};
     for (const u64 n : sizes) {
       const ProtocolPtr p = make_protocol(name, n);
-      EXPECT_EQ(rule_mismatches(*p), 0u) << name << " n=" << n;
+      EXPECT_EQ(bad_rank_rules(*p), 0u) << name << " n=" << n;
     }
   }
 }
 
-TEST(RankRules, ModifiedTreeMatchesTransition) {
+TEST(RankRules, ModifiedTreeAndSingleLineFireEverySameStatePair) {
   for (const u64 n : {2u, 3u, 15u, 100u, 1000u}) {
     const TreeRankingProtocol p(n, 0,
                                 TreeRankingProtocol::ResetMode::kModified);
-    EXPECT_EQ(rule_mismatches(p), 0u) << "n=" << n;
+    EXPECT_EQ(bad_rank_rules(p), 0u) << "n=" << n;
   }
+  EXPECT_EQ(bad_rank_rules(SingleLineProtocol(40, 4, 3)), 0u);
+  EXPECT_EQ(bad_rank_rules(SingleLineProtocol(5, 1, 1)), 0u);
 }
 
-TEST(RankRules, SingleLineMatchesTransition) {
-  const SingleLineProtocol p(40, 4, 3);
-  EXPECT_EQ(rule_mismatches(p), 0u);
-  const SingleLineProtocol one_trap(5, 1, 1);
-  EXPECT_EQ(rule_mismatches(one_trap), 0u);
-}
-
-TEST(RankRules, RingWithForcedTrapCountsMatchesTransition) {
-  for (const u64 n : {2u, 3u, 12u, 13u, 30u, 97u, 120u, 1000u}) {
-    const u64 canonical = RingLayout(n).num_traps();
-    for (const u64 traps : {u64{1}, u64{2}, canonical, n}) {
-      const RingOfTrapsProtocol p(n, traps);
-      EXPECT_EQ(rule_mismatches(p), 0u) << "n=" << n << " traps=" << traps;
+TEST(RankRules, AgMatchesItsSchema) {
+  for (const u64 n : {2u, 3u, 1000u}) {
+    const ProtocolPtr p = make_protocol("ag", n);
+    for (u64 s = 0; s < n; ++s) {
+      const StateId id = static_cast<StateId>(s);
+      const std::pair<StateId, StateId> expected{
+          id, static_cast<StateId>((s + 1) % n)};
+      ASSERT_EQ(p->transition(id, id), expected) << "n=" << n << " s=" << s;
     }
   }
 }
@@ -96,6 +95,32 @@ struct TableLayout {
     }
   }
 };
+
+TEST(RankRules, RingOfTrapsMatchesTheSchemasOnATableLayout) {
+  // Inner (a,b) + (a,b) -> (a,b) + (a,b-1); gate (a,0) + (a,0) ->
+  // (a,top) + (next trap's gate), over traps in {1, 2, canonical, n}.
+  for (const u64 n : {2u, 3u, 12u, 13u, 30u, 97u, 120u, 1000u}) {
+    const u64 canonical = RingLayout(n).num_traps();
+    for (const u64 traps : {u64{1}, u64{2}, canonical, n}) {
+      const RingOfTrapsProtocol p(n, traps);
+      const TableLayout ref(n, traps);
+      EXPECT_EQ(bad_rank_rules(p), 0u) << "n=" << n << " traps=" << traps;
+      for (u64 s = 0; s < n; ++s) {
+        const StateId id = static_cast<StateId>(s);
+        const u64 a = ref.trap[s];
+        const bool gate = s == ref.offset[a];
+        const std::pair<StateId, StateId> expected =
+            gate ? std::pair<StateId, StateId>{
+                       static_cast<StateId>(ref.offset[a] + ref.size[a] - 1),
+                       static_cast<StateId>(ref.offset[(a + 1) % traps])}
+                 : std::pair<StateId, StateId>{
+                       id, static_cast<StateId>(s - 1)};
+        ASSERT_EQ(p.transition(id, id), expected)
+            << "n=" << n << " traps=" << traps << " s=" << s;
+      }
+    }
+  }
+}
 
 TEST(RankRules, RingLayoutArithmeticMatchesTable) {
   // Every trap count 1..n, so each n meets remainder 0 (traps = 1, or any
