@@ -120,9 +120,13 @@ void BM_StabiliseUniform(benchmark::State& state, const char* name) {
 }
 
 BENCHMARK_CAPTURE(BM_ProductiveStep, ag, "ag")->Arg(1024)->Arg(16384);
+// 10^6 and 10^7 put the counts (8 MB, 80 MB) and the trees' internal
+// levels out of cache: a step there is bound by its tree walks' misses.
 BENCHMARK_CAPTURE(BM_ProductiveStep, ring, "ring-of-traps")
     ->Arg(1024)
-    ->Arg(16384);
+    ->Arg(16384)
+    ->Arg(1000000)
+    ->Arg(10000000);
 BENCHMARK_CAPTURE(BM_ProductiveStep, line, "line-of-traps")->Arg(960);
 BENCHMARK_CAPTURE(BM_ProductiveStep, tree, "tree-ranking")
     ->Arg(1024)

@@ -4,13 +4,26 @@
 #include <array>
 
 #include "common/assert.hpp"
+#include "common/huge_pages.hpp"
 
 namespace pp::initial {
 
+namespace {
+
+// num_states zero counts: the one allocation of a configuration's count
+// vector, which reset() later adopts as the count tree's leaves, so it is
+// huge-page backed from the start.
+Configuration zeroed(u64 num_states) {
+  Configuration c;
+  zeroed_resize(c.counts, num_states);
+  return c;
+}
+
+}  // namespace
+
 Configuration valid_ranking(u64 num_ranks, u64 num_states) {
   PP_ASSERT(num_ranks <= num_states);
-  Configuration c;
-  c.counts.assign(num_states, 0);
+  Configuration c = zeroed(num_states);
   for (u64 s = 0; s < num_ranks; ++s) c.counts[s] = 1;
   return c;
 }
@@ -25,8 +38,7 @@ namespace {
 // counts and the Rng's next state equal those of a per-agent loop.
 Configuration scatter(u64 num_agents, u64 num_states, u64 bound, Rng& rng) {
   constexpr u64 kBlock = 64;
-  Configuration c;
-  c.counts.assign(num_states, 0);
+  Configuration c = zeroed(num_states);
   u64* counts = c.counts.data();
   std::array<u64, kBlock> block{};
   for (u64 done = 0; done < num_agents;) {
@@ -75,8 +87,7 @@ Configuration k_distant(u64 num_ranks, u64 num_states, u64 k, Rng& rng) {
 
 Configuration all_in_state(u64 num_agents, u64 num_states, StateId s) {
   PP_ASSERT(s < num_states);
-  Configuration c;
-  c.counts.assign(num_states, 0);
+  Configuration c = zeroed(num_states);
   c.counts[s] = num_agents;
   return c;
 }

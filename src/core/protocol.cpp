@@ -36,30 +36,35 @@ void Protocol::reset(Configuration c) {
   on_reset();
 }
 
-void Protocol::mutate(StateId s, i64 delta) {
-  PP_DCHECK(s < n_states_);
-  if (delta == 0) return;
-  if (delta < 0) {
-    PP_ASSERT_MSG(count(s) >= static_cast<u64>(-delta),
-                  "mutate would drive a state count negative");
+void Protocol::move_agent(StateId from, StateId to) {
+  PP_DCHECK(from < n_states_ && to < n_states_);
+  if (from == to) {
+    PP_ASSERT_MSG(count(from) > 0, "move_agent from an empty state");
+    return;
   }
-  count_all_.add(s, delta);
-  if (s < n_ranks_) {
-    const u64 c = count(s);
-    rank_weight_.count_changed(s, c - static_cast<u64>(delta));
-    count_bound_ = std::max(count_bound_, c);
-  } else {
-    extra_agents_ += static_cast<u64>(delta);  // two's complement
+  // The count tree checks that `from` is occupied.
+  count_all_.add(from, -1, to, +1);
+  const bool rank_from = from < n_ranks_;
+  const bool rank_to = to < n_ranks_;
+  const u64 c_to = count(to);
+  if (rank_from && rank_to) {
+    rank_weight_.count_changed(from, count(from) + 1, to, c_to - 1);
+  } else if (rank_from) {
+    rank_weight_.count_changed(from, count(from) + 1);
+    ++extra_agents_;
+  } else if (rank_to) {
+    rank_weight_.count_changed(to, c_to - 1);
+    --extra_agents_;
   }
+  if (rank_to) count_bound_ = std::max(count_bound_, c_to);
 }
 
 void Protocol::apply_rank_rule(StateId s) {
   PP_DCHECK(s < n_ranks_);
   PP_DCHECK(count(s) >= 2);
   const auto [out1, out2] = transition(s, s);
-  mutate(s, -2);
-  mutate(out1, +1);
-  mutate(out2, +1);
+  if (out1 != s) move_agent(s, out1);
+  if (out2 != s) move_agent(s, out2);
 }
 
 void Protocol::step_productive(Rng& rng) {
@@ -117,11 +122,8 @@ std::pair<StateId, StateId> Protocol::apply_pair(StateId initiator,
   PP_DCHECK(count(responder) >=
             (initiator == responder ? static_cast<u64>(2) : 1));
   const auto [i2, r2] = transition(initiator, responder);
-  if (i2 == initiator && r2 == responder) return {initiator, responder};
-  mutate(initiator, -1);
-  mutate(responder, -1);
-  mutate(i2, +1);
-  mutate(r2, +1);
+  if (i2 != initiator) move_agent(initiator, i2);
+  if (r2 != responder) move_agent(responder, r2);
   return {i2, r2};
 }
 

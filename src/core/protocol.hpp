@@ -24,10 +24,19 @@
 //   * per-instance state, loaded by reset(): the count tree (ds/fenwick.hpp:
 //     the counts as leaves plus internal levels, ~9.1 B per state) and the
 //     rank tree (a PairWeightTree reading c_s from the count tree's leaves:
-//     internal levels only, ~1.1 B per rank state).
+//     internal levels only, ~1.1 B per rank state).  The count vector
+//     (from initial::, adopted by reset()) and any internal levels of
+//     2 MiB or more are backed by transparent huge pages
+//     (common/huge_pages.hpp), so a random state costs one TLB entry per
+//     2 MiB instead of per 4 KiB.
 // The runner builds one protocol per trial set and one fresh() instance per
 // trial, so concurrent trials hold ~10.3 B per state each plus one shared
 // copy of the geometry.
+//
+// Mutation.  After reset(), move_agent() is the only writer of the trees:
+// a rank rule is at most two moves (none for an output equal to s, so the
+// ring's inner rule and ag move one agent), apply_pair() at most two, and
+// the extra-state hooks and the churn fault path are moves as well.
 //
 // The two engines drive this interface in different ways:
 //   * AcceleratedEngine calls productive_weight() / step_productive() and
@@ -167,8 +176,10 @@ class Protocol {
   /// SingleLineProtocol's absorbing X).
   virtual ExtraPairClasses extra_pair_classes() const { return {}; }
 
-  /// --- O(log n) mutation API for fault models --------------------------
-  /// A churn fault teleports k agents; rebuilding the protocol from a
+  /// --- O(log n) mutation API -------------------------------------------
+  /// move_agent() carries every configuration change after reset(): the
+  /// rules and hooks inside the protocol, and fault models outside it.  A
+  /// churn fault teleports k agents; rebuilding the protocol from a
   /// copied configuration costs O(n), these three calls cost O(k log n)
   /// total.  ChurnScheduler's fast path uses them; the copy-and-rebuild
   /// reference survives behind SchedulerSpec::dense_reference and tests
@@ -183,16 +194,15 @@ class Protocol {
   }
 
   /// Teleports one agent from state `from` (which must be occupied) to
-  /// state `to`, keeping counts, both sum trees and step_uniform()'s
-  /// count_bound_ consistent.  The bound only rises here: a move that
-  /// empties the fullest state leaves it stale, which costs step_uniform()
-  /// speed (fewer constant-time rejections), never correctness; the next
-  /// reset() makes it exact again.  Callers mutating in bulk must call
-  /// commit_moves() afterwards.
-  void move_agent(StateId from, StateId to) {
-    mutate(from, -1);
-    mutate(to, +1);
-  }
+  /// state `to`, keeping counts, both sum trees, extra_agents_ and
+  /// step_uniform()'s count_bound_ consistent.  With reset(), the only
+  /// writer of the trees: every rule, hook and fault is a sequence of
+  /// moves, each one two-leaf update per tree (ds/fenwick.hpp).  The bound
+  /// only rises here: a move that empties the fullest state leaves it
+  /// stale, which costs step_uniform() speed (fewer constant-time
+  /// rejections), never correctness; the next reset() makes it exact
+  /// again.  Callers mutating in bulk must call commit_moves() afterwards.
+  void move_agent(StateId from, StateId to);
 
   /// Ends a bulk-mutation burst: gives derived protocols the same
   /// cache-refresh hook a full reset() would (no library protocol caches
@@ -237,12 +247,8 @@ class Protocol {
   virtual void on_reset() {}
 
   /// --- helpers for derived classes -----------------------------------
-  /// Adds delta agents to state s, keeping counts, both sum trees,
-  /// count_bound_ and extra_agents_ consistent.  With reset(), the only
-  /// writer of the count tree.
-  void mutate(StateId s, i64 delta);
   /// Fires the same-state rule transition(s, s) of rank state s (two agents
-  /// in s interact).
+  /// in s interact): at most two moves, none for an output equal to s.
   void apply_rank_rule(StateId s);
   u64 count(StateId s) const { return count_all_.get(s); }
   /// Total number of agents currently in rank states.
@@ -261,7 +267,7 @@ class Protocol {
   PairWeightTree rank_weight_;  // rank states: c_s (c_s - 1), read from
                                 // count_all_'s leaves
   // Invariant: count_bound_ >= count(s) for every rank state s.  reset()
-  // sets it to the exact maximum, mutate() only raises it.
+  // sets it to the exact maximum, move_agent() only raises it.
   u64 count_bound_ = 0;
   u64 extra_agents_ = 0;  // agents in extra states
 };

@@ -6,7 +6,7 @@
 namespace pp {
 
 void Fenwick::reset(u64 size) {
-  leaves_.w.assign(size, 0);
+  zeroed_resize(leaves_.w, size);
   build([this](u64 i, bool&) { return leaves_(i); });
 }
 
@@ -15,19 +15,40 @@ void Fenwick::assign(std::vector<u64> weights) {
   build([this](u64 i, bool&) { return leaves_(i); });
 }
 
+u64 Fenwick::shifted(u64 i, i64 delta) const {
+  // Two's complement: adding d modulo 2^64 adds delta.
+  const u64 d = static_cast<u64>(delta);
+  PP_ASSERT_MSG(delta >= 0 || leaves_.w[i] >= 0 - d,
+                "Fenwick weight underflow");
+  return leaves_.w[i] + d;
+}
+
 void Fenwick::add(u64 i, i64 delta) {
   PP_DCHECK(i < size());
   if (delta == 0) return;
-  // Two's complement: adding d modulo 2^64 adds delta.
   const u64 d = static_cast<u64>(delta);
-  if (delta < 0) {
-    PP_ASSERT_MSG(leaves_.w[i] >= 0 - d, "Fenwick weight underflow");
-  } else {
-    PP_ASSERT_MSG(d <= kMaxTotal - total(),
-                  "Fenwick total weight exceeds 2^63 - 1");
-  }
-  leaves_.w[i] += d;
-  propagate(i, d);
+  const u64 w = shifted(i, delta);
+  PP_ASSERT_MSG(delta < 0 || d <= kMaxTotal - total(),
+                "Fenwick total weight exceeds 2^63 - 1");
+  leaves_.w[i] = w;
+  propagate(i, d, i, 0);
+}
+
+void Fenwick::add(u64 i, i64 di, u64 j, i64 dj) {
+  PP_DCHECK(i < size() && j < size() && i != j);
+  const u64 wi = shifted(i, di);
+  const u64 wj = shifted(j, dj);
+  // Every weight is part of the total, so `rest` cannot underflow, and
+  // each new weight is below 2^64 (old weight and delta are both <= the
+  // cap); only their sum can wrap.
+  const u64 rest = total() - leaves_.w[i] - leaves_.w[j];
+  u64 sum = 0;
+  const bool wrapped = __builtin_add_overflow(wi, wj, &sum);
+  PP_ASSERT_MSG(!wrapped && sum <= kMaxTotal - rest,
+                "Fenwick total weight exceeds 2^63 - 1");
+  propagate(i, wi - leaves_.w[i], j, wj - leaves_.w[j]);
+  leaves_.w[i] = wi;
+  leaves_.w[j] = wj;
 }
 
 void Fenwick::set(u64 i, u64 w) {
@@ -54,12 +75,32 @@ void PairWeightTree::count_changed(u64 i, u64 before) {
   u64 w = 0;
   const bool wrapped = __builtin_mul_overflow(c, c - 1, &w);
   const u64 old = before * (before - 1);
-  if (w == old && !wrapped) return;
   // A growing weight must keep the total within kMaxTotal; a shrinking
   // one cannot underflow, `old` being the exact weight the tree holds.
-  PP_ASSERT_MSG(!wrapped && (w < old || w - old <= kMaxTotal - total()),
+  PP_ASSERT_MSG(!wrapped && (w <= old || w - old <= kMaxTotal - total()),
                 "Fenwick total weight exceeds 2^63 - 1");
-  propagate(i, w - old);
+  propagate(i, w - old, i, 0);
+}
+
+void PairWeightTree::count_changed(u64 i, u64 before_i, u64 j,
+                                   u64 before_j) {
+  PP_DCHECK(i < size() && j < size() && i != j);
+  const u64 ci = leaves_.counts[i];
+  const u64 cj = leaves_.counts[j];
+  u64 wi = 0;
+  u64 wj = 0;
+  u64 sum = 0;
+  bool wrapped = __builtin_mul_overflow(ci, ci - 1, &wi);
+  wrapped |= __builtin_mul_overflow(cj, cj - 1, &wj);
+  wrapped |= __builtin_add_overflow(wi, wj, &sum);
+  // The old weights are exactly what the tree holds, so `rest` cannot
+  // underflow.
+  const u64 old_i = before_i * (before_i - 1);
+  const u64 old_j = before_j * (before_j - 1);
+  const u64 rest = total() - old_i - old_j;
+  PP_ASSERT_MSG(!wrapped && sum <= kMaxTotal - rest,
+                "Fenwick total weight exceeds 2^63 - 1");
+  propagate(i, wi - old_i, j, wj - old_j);
 }
 
 }  // namespace pp

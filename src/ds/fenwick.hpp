@@ -10,8 +10,12 @@
 //     used to sample the next productive interaction.  It stores no leaves:
 //     it reads c_s from the count tree's leaves and keeps only its
 //     internal levels.
-// Both see one update per state whose count changes, i.e. at most four
-// point updates each per simulated interaction.
+// An interaction moves at most two agents, and each move is one two-leaf
+// update per tree (SumTree::propagate): below the lowest common ancestor
+// of the two leaves each side has its own walk, above it one walk carries
+// the summed delta and stops once that sum is zero.  A move nets to zero
+// on the count tree, so a move between neighbouring states (ag, the
+// ring's inner rule) writes no internal entry there 7 times in 8.
 //
 // One implementation, SumTree<Leaves>, holds the layout, the build, the
 // descent and the update; the two trees differ only in where leaf i's
@@ -27,9 +31,11 @@
 //   * the top level has at most 8 entries, i.e. one line (with n <= 8 the
 //     leaves themselves are the top).
 // find() walks one line per level: ~7 dependent line loads at 10^6 slots
-// against ~20 for a binary-indexed tree; an update writes one word per
-// internal level.  Memory: the internal levels take ~n/7 words (~1.1 B per
-// slot), so a Fenwick is ~9.1 B per slot and a PairWeightTree ~1.1 B.
+// against ~20 for a binary-indexed tree; an update writes at most one word
+// per internal level and side.  Memory: the internal levels take ~n/7
+// words (~1.1 B per slot), so a Fenwick is ~9.1 B per slot and a
+// PairWeightTree ~1.1 B; from 2 MiB up they sit on transparent huge pages
+// (common/huge_pages.hpp).
 //
 // Range: the total weight is capped at 2^63 - 1 (checked on every
 // positive update and on every build), so every weight, every partial sum
@@ -40,9 +46,11 @@
 #include <array>
 #include <cstddef>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/huge_pages.hpp"
 #include "common/types.hpp"
 #include "obs/counters.hpp"
 
@@ -134,6 +142,10 @@ class SumTree {
     return i;
   }
 
+  /// The internal levels as stored, padding included.  A tree updated in
+  /// place holds the same words as one built from its current weights.
+  std::span<const u64> internal_levels() const { return node_; }
+
  protected:
   SumTree() = default;
   ~SumTree() = default;
@@ -152,7 +164,7 @@ class SumTree {
       level_at_[++levels_] = words;
       words += ceil_div(m, kB) * kB;
     }
-    node_.resize(words);
+    zeroed_resize(node_, words);
 
     // Leaves -> level 1, plus the overflow-checked total.  Each group sum
     // is a difference of running totals, so one checked add per leaf
@@ -191,20 +203,44 @@ class SumTree {
     }
   }
 
-  /// Adds the nonzero delta `d` (two's complement, range already checked
-  /// by the caller) to the total and to every internal entry above leaf
-  /// i, after leaf i itself has changed by d.
-  void propagate(u64 i, u64 d) {
-    total_ += d;
+  /// Adds `di` to the total and to every internal entry above leaf i, and
+  /// `dj` likewise for leaf j, after the leaves themselves have changed by
+  /// those deltas (two's complement, range already checked by the caller).
+  /// A zero delta leaves its side out, so (i, d, i, 0) updates one leaf.
+  /// Below the lowest common ancestor of i and j each side has its own
+  /// walk; from it up one walk carries di + dj, and stops at once when that
+  /// sum is zero.
+  void propagate(u64 i, u64 di, u64 j, u64 dj) {
+    if (di == 0) {
+      i = j;
+      di = dj;
+      dj = 0;
+    }
+    if (di == 0) return;
+    if (dj == 0) j = i;  // one side: the walks meet at the first level
+    total_ += di + dj;
 #if PP_OBS
     if (obs::active()) {
-      obs::bump(obs::Counter::kFenwickUpdates);
-      obs::record(obs::Sketch::kFenwickDepth, levels_ + 1);
+      for (const u64 d : {di, dj}) {
+        if (d == 0) continue;
+        obs::bump(obs::Counter::kFenwickUpdates);
+        obs::record(obs::Sketch::kFenwickDepth, levels_ + 1);
+      }
     }
 #endif
-    for (u64 k = 1; k <= levels_; ++k) {
+    u64 k = 1;
+    for (; k <= levels_; ++k) {
       i /= kB;
+      j /= kB;
+      if (i == j) break;
+      node_[level_at_[k] + i] += di;
+      node_[level_at_[k] + j] += dj;
+    }
+    const u64 d = di + dj;
+    if (d == 0) return;
+    for (; k <= levels_; ++k) {
       node_[level_at_[k] + i] += d;
+      i /= kB;
     }
   }
 
@@ -284,8 +320,18 @@ class Fenwick : public SumTree<StoredWeights> {
   /// both are checked.
   void add(u64 i, i64 delta);
 
+  /// Adds `di` to index i and `dj` to index j != i in one two-leaf update
+  /// (SumTree::propagate); a move of one unit is add(from, -1, to, +1).
+  /// Checked like add(): neither weight may go negative, and the new total
+  /// must stay <= kMaxTotal.
+  void add(u64 i, i64 di, u64 j, i64 dj);
+
   /// Sets index i to `w`.
   void set(u64 i, u64 w);
+
+ private:
+  /// Index i's weight after adding `delta`; aborts if it would go negative.
+  u64 shifted(u64 i, i64 delta) const;
 };
 
 /// A sum tree over n slots whose weight i is c_i (c_i - 1) — the ordered
@@ -303,6 +349,10 @@ class PairWeightTree : public SumTree<PairWeights> {
   /// Re-reads slot i after its count changed from `before`.  Bumps the
   /// obs update counters only when the weight changed.
   void count_changed(u64 i, u64 before);
+
+  /// Re-reads slots i != j after their counts changed from `before_i` and
+  /// `before_j`, in one two-leaf update.
+  void count_changed(u64 i, u64 before_i, u64 j, u64 before_j);
 };
 
 }  // namespace pp

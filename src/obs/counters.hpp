@@ -47,7 +47,10 @@ namespace pp::obs {
 enum class Counter : u32 {
   kProductiveSteps,    ///< productive firings driven through the hooks
   kNullSkips,          ///< null interactions skipped in closed form
-  kFenwickUpdates,     ///< Fenwick point updates (add/set with delta != 0)
+  kFenwickUpdates,     ///< sum-tree leaves whose weight an update
+                       ///< changed: a two-leaf update (one move) counts
+                       ///< each leaf whose weight changed, so this counts
+                       ///< work, not outcome
   kGroupTouches,       ///< GroupedKernelSampler group members scanned
   kRosterGrows,        ///< DirectedPairRoster capacity-doubling rebuilds
   kRosterRejections,   ///< sparse markov birth-sampling rejection retries
@@ -64,8 +67,11 @@ inline constexpr u32 kNumCounters = static_cast<u32>(Counter::kCount);
 
 enum class Sketch : u32 {
   kNullSkipGap,   ///< gap length per closed-form null skip
-  kFenwickDepth,  ///< words written per Fenwick update: the sum tree's
-                  ///< internal levels + 1 (the leaf), fixed by its size
+  kFenwickDepth,  ///< one sample per counted leaf update: the sum tree's
+                  ///< internal levels + 1 (the leaf), fixed by its size;
+                  ///< an upper bound on the words written, since a
+                  ///< two-leaf update shares its walk above the leaves'
+                  ///< common ancestor and stops where the deltas cancel
   kGroupSize,     ///< group size per hierarchical-sampler touch
   kFaultBurst,    ///< agents moved per churn fault event
   kCount,

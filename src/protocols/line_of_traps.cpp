@@ -40,8 +40,7 @@ void LineOfTrapsProtocol::step_extra(u64 target, Rng& /*rng*/) {
     const StateId s = sample_rank_by_count(q);
     destination = layout_->route_target(s);
   }
-  mutate(x_state(), -1);
-  mutate(destination, +1);
+  move_agent(x_state(), destination);
 }
 
 bool LineOfTrapsProtocol::apply_cross(StateId initiator, StateId responder) {
@@ -52,8 +51,7 @@ bool LineOfTrapsProtocol::apply_cross(StateId initiator, StateId responder) {
   } else {
     destination = layout_->route_target(initiator);
   }
-  mutate(x_state(), -1);
-  mutate(destination, +1);
+  move_agent(x_state(), destination);
   return true;
 }
 

@@ -59,27 +59,24 @@ void TreeRankingProtocol::apply_buffer_pair(StateId first, StateId second) {
   const u64 lo = i < j ? i : j;
   if (lo == 2 * k_) {
     // R5: X_2k + X_2k -> 0 + 0.
-    mutate(first, -2);
-    mutate(0, +2);
+    move_agent(first, 0);
+    move_agent(first, 0);
     return;
   }
   // R3: both agents adopt X_{lo+1}.
-  mutate(first, -1);
-  mutate(second, -1);
-  mutate(x_state(lo + 1), +2);
+  move_agent(first, x_state(lo + 1));
+  move_agent(second, x_state(lo + 1));
 }
 
 void TreeRankingProtocol::apply_buffer_rank(StateId x, StateId rank) {
   const u64 i = x_index(x);
   if (is_red(i)) {
     // R4 red: unload the tree agent and propagate the reset signal.
-    mutate(x, -1);
-    mutate(rank, -1);
-    mutate(x_state(1), +2);
+    move_agent(x, x_state(1));
+    move_agent(rank, x_state(1));
   } else {
     // R4 green: the buffered agent re-enters the tree at the root.
-    mutate(x, -1);
-    mutate(0, +1);
+    move_agent(x, 0);
   }
 }
 

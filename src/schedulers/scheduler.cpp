@@ -239,7 +239,10 @@ std::string SchedulerSpec::to_string() const {
       return "graph-restricted[" + graph_family_name(*this) + "]";
     case SchedulerKind::kWeighted: {
       std::string out = std::string("weighted[") + weight_kernel_name(kernel);
-      if (kernel_power != 1) out += "^" + std::to_string(kernel_power);
+      if (kernel_power != 1) {
+        out += '^';
+        out += std::to_string(kernel_power);
+      }
       if (dense_reference) out += "/dense-ref";
       out += "]";
       return out;
@@ -279,7 +282,10 @@ std::string SchedulerSpec::to_string() const {
       char rate[32];
       std::snprintf(rate, sizeof(rate), "%g", churn_rate);
       std::string out = std::string("churn[") + rate;
-      if (churn_faults != 1) out += "x" + std::to_string(churn_faults);
+      if (churn_faults != 1) {
+        out += 'x';
+        out += std::to_string(churn_faults);
+      }
       out += std::string("/") + churn_reset_name(churn_reset);
       if (churn_active != 0) out += "/a" + std::to_string(churn_active);
       if (dense_reference) out += "/dense-ref";

@@ -164,7 +164,8 @@ int worker_main(const std::string& job_dir, u64 worker_id) {
 
       const std::string lease_path =
           job_dir + "/leases/chunk-" + std::to_string(chunk.index) + ".lease";
-      const std::string holder = "w" + std::to_string(worker_id);
+      std::string holder = "w";
+      holder += std::to_string(worker_id);
       if (!create_exclusive(lease_path, holder + " 0")) continue;  // lost race
 
       ++claims;

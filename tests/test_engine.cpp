@@ -332,13 +332,11 @@ class SparseWeightProtocol final : public Protocol {
  protected:
   u64 extra_weight() const override { return count(2) >= 2 ? 1 : 0; }
   void step_extra(u64 /*target*/, Rng& /*rng*/) override {
-    mutate(2, -1);
-    mutate(0, +1);
+    move_agent(2, 0);
   }
   bool apply_cross(StateId i, StateId r) override {
     if (i != 2 || r != 2) return false;
-    mutate(2, -1);
-    mutate(0, +1);
+    move_agent(2, 0);
     return true;
   }
 };

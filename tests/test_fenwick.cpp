@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <utility>
 #include <vector>
@@ -288,6 +289,144 @@ TEST(Fenwick, AssignInPlaceReusesAcrossSizes) {
     ASSERT_NO_FATAL_FAILURE(
         expect_matches(f, std::vector<u64>(size, 0), size));
   }
+}
+
+// ---- two-leaf updates ---------------------------------------------------------
+
+// Sizes for the two-leaf oracle: no internal level (1, 2, 7, 8), one
+// partial group past it (9), one and two full levels and one past each
+// (63, 64, 65, 513, 4097), and four levels with a one-entry top (32769).
+constexpr u64 kPairSizes[] = {1, 2, 7, 8, 9, 63, 64, 65, 513, 4097, 32769};
+
+// `f` against a tree built from scratch on its current weights: the same
+// total, the same word in every internal entry (padding included) and the
+// same prefix() at every index.
+void expect_as_built(const Fenwick& f, u64 size) {
+  Fenwick built;
+  built.assign(f.weights());
+  ASSERT_EQ(f.total(), built.total()) << size;
+  const auto got = f.internal_levels();
+  const auto want = built.internal_levels();
+  ASSERT_EQ(got.size(), want.size()) << size;
+  for (u64 e = 0; e < got.size(); ++e) {
+    ASSERT_EQ(got[e], want[e]) << size << " internal entry " << e;
+  }
+  u64 cum = 0;
+  for (u64 i = 0; i <= size; ++i) {
+    ASSERT_EQ(f.prefix(i), cum) << size << " prefix " << i;
+    if (i < size) cum += f.get(i);
+  }
+}
+
+// A second slot for a two-leaf update at i, by kind: in i's group of
+// eight, in a neighbouring group, or at the far end of the tree.
+u64 partner(u64 i, u64 size, u64 kind, Rng& rng) {
+  u64 j = i;
+  switch (kind) {
+    case 0: {  // same group
+      const u64 first = i - i % 8;
+      j = first + rng.below(std::min<u64>(8, size - first));
+      break;
+    }
+    case 1: {  // the group before or after i's
+      const u64 groups = (size + 7) / 8;
+      const u64 g = i / 8;
+      if (groups == 1) return partner(i, size, 0, rng);
+      const u64 h = g == 0               ? 1
+                    : g + 1 == groups    ? g - 1
+                    : rng.below(2) == 0 ? g - 1
+                                         : g + 1;
+      j = h * 8 + rng.below(std::min<u64>(8, size - h * 8));
+      break;
+    }
+    default:  // opposite ends
+      j = size - 1 - i;
+      break;
+  }
+  return j == i ? (i + 1) % size : j;
+}
+
+TEST(Fenwick, TwoLeafUpdatesMatchAFreshBuild) {
+  Rng rng(20);
+  for (const u64 size : kPairSizes) {
+    std::vector<u64> w(size);
+    for (u64& x : w) x = rng.below(4);
+    Fenwick f;
+    f.assign(w);
+    const u64 ops = size <= 65 ? 400 : 2000;
+    for (u64 op = 0; op < ops; ++op) {
+      const u64 i = rng.below(size);
+      if (size == 1) {  // no second leaf: the one-leaf update
+        const i64 d = rng.below(2) == 0 ? 1 : -static_cast<i64>(
+                                                  rng.below(f.get(0) + 1));
+        f.add(0, d);
+        continue;
+      }
+      const u64 j = partner(i, size, rng.below(3), rng);
+      const u64 shape = rng.below(4);
+      i64 di = 0;
+      i64 dj = 0;
+      if (shape == 0) {  // a move: one unit from i to j
+        if (f.get(i) == 0) continue;
+        di = -1;
+        dj = 1;
+      } else if (shape == 1) {  // net zero, larger amounts
+        di = -static_cast<i64>(rng.below(f.get(i) + 1));
+        dj = -di;
+      } else if (shape == 2) {  // one side zero
+        di = static_cast<i64>(rng.below(5));
+      } else {  // independent deltas, either sign
+        di = static_cast<i64>(rng.below(6)) -
+             static_cast<i64>(std::min<u64>(f.get(i), rng.below(6)));
+        dj = static_cast<i64>(rng.below(6)) -
+             static_cast<i64>(std::min<u64>(f.get(j), rng.below(6)));
+      }
+      const u64 wi = f.get(i);
+      const u64 wj = f.get(j);
+      f.add(i, di, j, dj);
+      ASSERT_EQ(f.get(i), wi + static_cast<u64>(di)) << size;
+      ASSERT_EQ(f.get(j), wj + static_cast<u64>(dj)) << size;
+      if (op % 64 == 0 || size <= 9) {
+        ASSERT_NO_FATAL_FAILURE(expect_as_built(f, size));
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_as_built(f, size));
+  }
+}
+
+TEST(Fenwick, TwoLeafUpdatesCheckTheirRange) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A move out of an empty slot.
+  EXPECT_DEATH(
+      {
+        Fenwick f(70);
+        f.add(69, 1);
+        f.add(3, -1, 69, 1);
+      },
+      "Fenwick weight underflow");
+  // A net gain past the cap, one side shrinking, the other growing.
+  EXPECT_DEATH(
+      {
+        Fenwick f(70);
+        f.set(0, Fenwick::kMaxTotal - 1);
+        f.add(0, -1, 65, 3);
+      },
+      "Fenwick total weight exceeds");
+  // Two new weights whose sum wraps u64: kMaxTotal + 2 kMaxTotal.
+  EXPECT_DEATH(
+      {
+        Fenwick f(3);
+        f.set(2, Fenwick::kMaxTotal);
+        const i64 max = static_cast<i64>(Fenwick::kMaxTotal);
+        f.add(0, max, 2, max);
+      },
+      "Fenwick total weight exceeds");
+  // At the cap exactly, a net-zero move is fine.
+  Fenwick f(70);
+  f.set(0, Fenwick::kMaxTotal);
+  f.add(0, -5, 69, 5);
+  EXPECT_EQ(f.total(), Fenwick::kMaxTotal);
+  EXPECT_EQ(f.prefix(69), Fenwick::kMaxTotal - 5);
 }
 
 // ---- range guard ------------------------------------------------------------

@@ -186,14 +186,14 @@ TEST(ObsCounters, RingOfTrapsTrialCountersArePinned) {
   EXPECT_EQ(
       set.counters.to_json(),
       "{\"counters\":{\"productive_steps\":1829,\"null_skips\":4209059,"
-      "\"fenwick_updates\":9186,\"group_touches\":0,\"roster_grows\":0,"
+      "\"fenwick_updates\":7486,\"group_touches\":0,\"roster_grows\":0,"
       "\"roster_rejections\":0,\"fault_events\":0,"
       "\"fault_agent_moves\":0,\"fault_state_touches\":0},"
       "\"sketches\":{\"null_skip_gap\":{\"count\":1829,\"buckets\":{"
       "\"0\":1,\"2\":3,\"3\":6,\"4\":10,\"5\":26,\"6\":40,\"7\":83,"
       "\"8\":129,\"9\":200,\"10\":307,\"11\":360,\"12\":371,"
       "\"13\":217,\"14\":58,\"15\":15,\"16\":3}},"
-      "\"fenwick_depth\":{\"count\":9186,\"buckets\":{\"2\":9186}},"
+      "\"fenwick_depth\":{\"count\":7486,\"buckets\":{\"2\":7486}},"
       "\"group_size\":{\"count\":0,\"buckets\":{}},"
       "\"fault_burst\":{\"count\":0,\"buckets\":{}}}}");
 #else

@@ -1,10 +1,11 @@
 // Differential tests for the rank tree: the PairWeightTree whose leaf
 // weights c(c - 1) are read from the count tree's leaves instead of being
-// stored.  Random mutate / move_agent sequences (extra states, emptied
-// states, zero deltas, rebuilds) at every tree-shape boundary, checked
-// against a naive prefix over c(c - 1) — both on the bare trees, driven
-// exactly as Protocol::mutate drives them, and through a protocol's public
-// calls — plus the overflow guard of Protocol::reset.
+// stored.  Random update sequences (one-leaf deltas, two-leaf moves, extra
+// states, emptied states, zero deltas, rebuilds) at every tree-shape
+// boundary, checked against a naive prefix over c(c - 1) and against a
+// tree built from scratch — both on the bare trees, a move driven exactly
+// as Protocol::move_agent drives them, and through a protocol's public
+// calls — plus the overflow guards of Protocol::reset and of a move.
 #include "ds/fenwick.hpp"
 
 #include <gtest/gtest.h>
@@ -27,9 +28,8 @@ constexpr u64 kSizes[] = {1, 7, 8, 9, 64, 65, 513, 4097};
 
 u64 pair_weight(u64 c) { return c == 0 ? 0 : c * (c - 1); }
 
-// The two trees of a protocol, updated the way Protocol::mutate updates
-// them: counts over the rank slots and then any extra slots, the rank tree
-// over the first `ranks` (rank) slots only.
+// The two trees of a protocol: counts over the rank slots and then any
+// extra slots, the rank tree over the first `ranks` (rank) slots only.
 struct Trees {
   u64 ranks = 0;
   Fenwick counts;
@@ -41,10 +41,27 @@ struct Trees {
     return rank.reset(counts.weights().data(), ranks);
   }
 
+  // Any delta at one slot, through the one-leaf updates.
   void mutate(u64 s, i64 delta) {
     counts.add(s, delta);
     if (s < ranks) {
       rank.count_changed(s, counts.get(s) - static_cast<u64>(delta));
+    }
+  }
+
+  // One agent from `from` to `to`, through the two-leaf updates, the way
+  // Protocol::move_agent updates its trees.
+  void move(u64 from, u64 to) {
+    if (from == to) return;
+    counts.add(from, -1, to, +1);
+    const u64 c_from = counts.get(from);
+    const u64 c_to = counts.get(to);
+    if (from < ranks && to < ranks) {
+      rank.count_changed(from, c_from + 1, to, c_to - 1);
+    } else if (from < ranks) {
+      rank.count_changed(from, c_from + 1);
+    } else if (to < ranks) {
+      rank.count_changed(to, c_to - 1);
     }
   }
 };
@@ -117,10 +134,7 @@ TEST(RankTree, DifferentialAgainstNaivePairWeights) {
         const u64 cs = t.counts.get(s);
         switch (rng.below(5)) {
           case 0:  // move_agent: one agent from an occupied state
-            if (cs > 0) {
-              t.mutate(s, -1);
-              t.mutate(rng.below(states), +1);
-            }
+            if (cs > 0) t.move(s, rng.below(states));
             break;
           case 1:  // empty the state, moving its agents to another
             if (cs > 0) {
@@ -128,11 +142,10 @@ TEST(RankTree, DifferentialAgainstNaivePairWeights) {
               t.mutate(rng.below(states), static_cast<i64>(cs));
             }
             break;
-          case 2:  // a rank rule's shape: two out, two in
+          case 2:  // a rank rule's shape: two moves out of s
             if (cs >= 2) {
-              t.mutate(s, -2);
-              t.mutate(rng.below(states), +1);
-              t.mutate(rng.below(states), +1);
+              t.move(s, rng.below(states));
+              t.move(s, rng.below(states));
             }
             break;
           case 3:  // arrivals, zero included
@@ -153,6 +166,121 @@ TEST(RankTree, DifferentialAgainstNaivePairWeights) {
       ASSERT_NO_FATAL_FAILURE(expect_rank_tree(t, rng, 1024));
     }
   }
+}
+
+// ---- two-leaf moves against a fresh build ----------------------------------
+
+// Sizes for the two-leaf oracle: no internal level (1, 2, 7, 8), one
+// partial group past it (9), one and two full levels and one past each
+// (63, 64, 65, 513, 4097), and four levels with a one-entry top (32769).
+constexpr u64 kPairSizes[] = {1, 2, 7, 8, 9, 63, 64, 65, 513, 4097, 32769};
+
+// The rank tree against one built from scratch on the same counts: the
+// same total, the same word in every internal entry (padding included)
+// and the same prefix() at every index.
+void expect_as_built(const Trees& t) {
+  PairWeightTree built;
+  built.reset(t.counts.weights().data(), t.ranks);
+  ASSERT_EQ(t.rank.total(), built.total()) << t.ranks;
+  const auto got = t.rank.internal_levels();
+  const auto want = built.internal_levels();
+  ASSERT_EQ(got.size(), want.size()) << t.ranks;
+  for (u64 e = 0; e < got.size(); ++e) {
+    ASSERT_EQ(got[e], want[e]) << t.ranks << " internal entry " << e;
+  }
+  for (u64 s = 0; s <= t.ranks; ++s) {
+    ASSERT_EQ(t.rank.prefix(s), built.prefix(s)) << t.ranks << " prefix " << s;
+  }
+}
+
+TEST(RankTree, TwoLeafMovesMatchAFreshBuild) {
+  Rng rng(17);
+  for (const u64 ranks : kPairSizes) {
+    const u64 states = ranks + 2;  // two extra slots beyond the rank tree
+    std::vector<u64> c(states);
+    for (u64& x : c) x = rng.below(4);
+    Trees t;
+    t.ranks = ranks;
+    t.reset(c);
+    const u64 ops = ranks <= 65 ? 400 : 2000;
+    for (u64 op = 0; op < ops; ++op) {
+      const u64 from = rng.below(states);
+      if (t.counts.get(from) == 0) continue;
+      u64 to = from;
+      switch (rng.below(5)) {
+        case 0: {  // same group of eight
+          const u64 first = from - from % 8;
+          to = first + rng.below(std::min<u64>(8, states - first));
+          break;
+        }
+        case 1:  // the neighbouring group
+          to = std::min(states - 1, from - from % 8 + 8 + rng.below(8));
+          break;
+        case 2:  // the far end, an extra slot included
+          to = states - 1 - from;
+          break;
+        case 3: {  // net zero: from holds k + 1, to holds k
+          const u64 want = t.counts.get(from) - 1;
+          for (u64 s = 0; s < ranks; ++s) {
+            if (s != from && t.counts.get(s) == want) {
+              to = s;
+              break;
+            }
+          }
+          break;
+        }
+        default:
+          to = rng.below(states);
+          break;
+      }
+      const u64 before = t.rank.total();
+      const u64 c_from = t.counts.get(from);
+      const u64 c_to = t.counts.get(to);
+      t.move(from, to);
+      if (from != to && from < ranks && to < ranks && c_to + 1 == c_from) {
+        ASSERT_EQ(t.rank.total(), before) << ranks;  // the deltas cancel
+      }
+      if (op % 64 == 0 || ranks <= 9) {
+        ASSERT_NO_FATAL_FAILURE(expect_as_built(t));
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_as_built(t));
+    ASSERT_NO_FATAL_FAILURE(expect_rank_tree(t, rng, 256));
+  }
+}
+
+TEST(RankTree, TwoLeafMovesCheckTheirRange) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A move out of an empty state dies in the count tree.
+  EXPECT_DEATH(
+      {
+        Trees t;
+        t.ranks = 9;
+        t.reset({0, 1, 1, 1, 1, 1, 1, 1, 1, 2});
+        t.move(0, 8);
+      },
+      "Fenwick weight underflow");
+  // A pair update whose net growth passes the cap: c(c - 1) <= 2^63 - 1
+  // holds for c = cap, not for cap + 1.
+  const u64 cap = 3'037'000'500;
+  EXPECT_DEATH(
+      {
+        Trees t;
+        t.ranks = 9;
+        t.reset({cap, 0, 0, 0, 0, 0, 0, 0, 3, 0});
+        t.move(8, 0);
+      },
+      "total weight exceeds");
+  // Next to the same largest count, a net-zero move (counts 2 and 1 swap)
+  // keeps the total.
+  Trees t;
+  t.ranks = 9;
+  t.reset({cap, 1, 0, 0, 0, 0, 0, 0, 2, 0});
+  const u64 total = t.rank.total();
+  t.move(8, 1);
+  EXPECT_EQ(t.counts.get(1), 2u);
+  EXPECT_EQ(t.rank.total(), total);
+  ASSERT_NO_FATAL_FAILURE(expect_as_built(t));
 }
 
 // (traps, inner) pairs giving SingleLineProtocol the kSizes rank-state
