@@ -68,9 +68,9 @@ void BM_UniformStep(benchmark::State& state, const char* name) {
 }
 
 /// A churn[0.02/uniform-state] storm on one ring-of-traps population: each
-/// iteration runs n more storm ticks (faults interleaved with uniform
-/// interactions, so none can be skipped) on the same, ever-churned
-/// configuration.  items/s is ticks/s.
+/// iteration runs n more storm ticks (the storm skips the null ticks
+/// between fault and productive events in closed form) on the same,
+/// ever-churned configuration.  items/s is ticks/s.
 void BM_ChurnTick(benchmark::State& state) {
   const u64 n = preferred_population("ring-of-traps",
                                      static_cast<u64>(state.range(0)));

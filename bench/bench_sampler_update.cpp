@@ -1,8 +1,8 @@
 // S4 — fault-update-cost microbench: what does one churn fault event
 // actually cost, rebuild vs move?
 //
-// The churn scheduler has two fault paths with pinned bit-identical
-// trajectories (tests/test_fault_injection.cpp):
+// The churn scheduler has two fault paths, pinned bit-identical on the
+// fault-only storms this bench runs (tests/test_fault_injection.cpp):
 //
 //   fast       the default — each teleported agent goes through the
 //              Protocol mutation API (uniform_agent_state / move_agent /

@@ -131,6 +131,7 @@ RunResult CountEngine::run(Rng& rng, const RunOptions& opt, u64 handoff_gap,
     mass_.set(rule.out1, diagonal_mass(counts_[rule.out1]));
     mass_.set(rule.out2, diagonal_mass(counts_[rule.out2]));
     ++r.productive_steps;
+    note_productive_step(r.interactions);
     if (sync) {
       p_.apply_pair(s, s);
       if (!opt.on_change(p_, r.interactions)) {

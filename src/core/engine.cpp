@@ -40,13 +40,8 @@ bool advance_past_nulls(Rng& rng, double prob, u64 budget,
     return false;
   }
   interactions += skip + 1;
-  // The one productive-step gate every null-skipping engine passes
-  // through (accelerated uniform, graph-restricted, weighted, dynamic) —
-  // counters and the flagged-trial step trace hook in here once.
   PP_OBS_ADD(kNullSkips, skip);
   PP_OBS_SKETCH(kNullSkipGap, skip);
-  PP_OBS_INC(kProductiveSteps);
-  PP_OBS_TRACE_STEP(interactions);
   return true;
 }
 
@@ -65,6 +60,7 @@ RunResult run_accelerated(Protocol& p, Rng& rng, const RunOptions& opt) {
     }
     p.step_productive(rng);
     ++r.productive_steps;
+    note_productive_step(r.interactions);
     if (opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
       return finish(p, r);
@@ -82,8 +78,7 @@ RunResult run_uniform(Protocol& p, Rng& rng, const RunOptions& opt) {
     ++r.interactions;
     if (p.step_uniform(rng)) {
       ++r.productive_steps;
-      PP_OBS_INC(kProductiveSteps);
-      PP_OBS_TRACE_STEP(r.interactions);
+      note_productive_step(r.interactions);
       if (opt.on_change && !opt.on_change(p, r.interactions)) {
         r.aborted = true;
         return finish(p, r);

@@ -24,6 +24,8 @@
 
 #include "common/types.hpp"
 #include "core/protocol.hpp"
+#include "obs/counters.hpp"
+#include "obs/trace.hpp"
 #include "rng/random.hpp"
 
 namespace pp {
@@ -70,14 +72,26 @@ RunResult run_uniform(Protocol& p, Rng& rng, const RunOptions& opt = {});
 /// the interaction model is pluggable.
 RunResult run(Protocol& p, Rng& rng, const RunOptions& opt = {});
 
-/// The exact-acceleration kernel shared by run_accelerated and the
-/// graph-restricted scheduler: samples the geometric run of null steps
-/// preceding the next productive one (per-step success probability `prob`)
-/// and advances `interactions` past it, including the productive step
-/// itself.  Returns false — with interactions clamped to `budget` — when
-/// the gap overruns the budget, treating Rng::kGeometricInfinity (the
-/// sampler's saturation sentinel for astronomically small `prob`) as an
-/// overrun of any budget.
+/// The exact-acceleration kernel shared by every null-skipping loop
+/// (run_accelerated, graph-restricted, weighted, dynamic, the churn
+/// storm): samples the geometric run of null steps preceding the next
+/// eventful one (per-step event probability `prob`) and advances
+/// `interactions` past it, including the eventful step itself.  Returns
+/// false — with interactions clamped to `budget` — when the gap overruns
+/// the budget, treating Rng::kGeometricInfinity (the sampler's saturation
+/// sentinel for astronomically small `prob`) as an overrun of any budget.
+/// It records the gap (null_skips, null_skip_gap) but not the event: an
+/// eventful step may be a fault or an edge flip rather than a productive
+/// step, so the caller reports what fired.
 bool advance_past_nulls(Rng& rng, double prob, u64 budget, u64& interactions);
+
+/// Observability for one productive step that fired at `interactions`:
+/// the productive_steps counter and the flagged trial's step-trace event.
+/// Every engine and scheduler calls it right after a step fires, so the
+/// per-trial counter equals RunResult::productive_steps.
+inline void note_productive_step([[maybe_unused]] u64 interactions) {
+  PP_OBS_INC(kProductiveSteps);
+  PP_OBS_TRACE_STEP(interactions);
+}
 
 }  // namespace pp

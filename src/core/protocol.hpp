@@ -181,9 +181,10 @@ class Protocol {
   /// rules and hooks inside the protocol, and fault models outside it.  A
   /// churn fault teleports k agents; rebuilding the protocol from a
   /// copied configuration costs O(n), these three calls cost O(k log n)
-  /// total.  ChurnScheduler's fast path uses them; the copy-and-rebuild
-  /// reference survives behind SchedulerSpec::dense_reference and tests
-  /// pin the two paths bit-identical.
+  /// total.  ChurnScheduler's event-driven storm uses them; its
+  /// copy-and-rebuild reference survives behind
+  /// SchedulerSpec::dense_reference, and tests pin the two fault paths
+  /// bit-identical on fault-only storms.
 
   /// State of the `target`-th agent under the canonical count ordering
   /// (agents are anonymous: "a uniform agent" is a state sampled with

@@ -1,7 +1,16 @@
 #include "runner/runner.hpp"
 
 #include <chrono>
+#include <mutex>
 #include <utility>
+
+// mallinfo2() arrived in glibc 2.33; elsewhere the heap is never trimmed.
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+#define PP_TRIM_HEAP 1
+#include <malloc.h>
+#else
+#define PP_TRIM_HEAP 0
+#endif
 
 #include "common/assert.hpp"
 #include "core/initial.hpp"
@@ -78,11 +87,38 @@ SharedTrialState prepare_trial_set(const TrialSpec& spec) {
   return shared;
 }
 
+// Returns the allocator's free pages to the OS after a trial set of at
+// least kTrimPopulation agents, once its heaps have grown by kTrimGrowth
+// since the last trim.  A trial frees its n-word arrays when it ends; a
+// caller that keeps small results between trial sets (a bench keeps its
+// records, perfbench every round) gets them carved out of those freed
+// arrays, so the next set's arrays no longer fit there and the heap grows
+// by a little every set.  Over a sweep of many short large-n sets that
+// ratchet, not the trials, sets peak RSS.  Smaller sets never trim: their
+// arrays sit in the allocator's small bins, and a trim would only cost the
+// next set its page faults.
+void trim_heap_after_set(u64 n) {
+#if PP_TRIM_HEAP
+  constexpr u64 kTrimPopulation = u64{1} << 16;
+  constexpr size_t kTrimGrowth = size_t{4} << 20;
+  if (n < kTrimPopulation) return;
+  static std::mutex mu;
+  static size_t trimmed_at = 0;
+  const std::lock_guard<std::mutex> lock(mu);
+  if (mallinfo2().arena < trimmed_at + kTrimGrowth) return;
+  malloc_trim(0);
+  trimmed_at = mallinfo2().arena;
+#else
+  (void)n;
+#endif
+}
+
 // The fan-out kernel.
 TrialRecord run_one_trial_impl(const TrialSpec& spec,
                                const SharedTrialState& shared,
                                u64 trial_index, u64 seed,
-                               obs::CounterBlock* block) {
+                               obs::CounterBlock* block,
+                               std::vector<u64>* final_counts = nullptr) {
 #if PP_OBS
   const u64 t0_us = obs::now_us();
 #endif
@@ -132,6 +168,7 @@ TrialRecord run_one_trial_impl(const TrialSpec& spec,
 #if PP_OBS
   if (block != nullptr) block->wall_us = obs::now_us() - t0_us;
 #endif
+  if (final_counts != nullptr) *final_counts = p->counts();
   TrialRecord rec;
   rec.trial = trial_index;
   rec.seed = seed;
@@ -146,9 +183,10 @@ TrialRecord run_one_trial_impl(const TrialSpec& spec,
 
 }  // namespace
 
-TrialRecord run_one_trial(const TrialSpec& spec, u64 trial_index, u64 seed) {
+TrialRecord run_one_trial(const TrialSpec& spec, u64 trial_index, u64 seed,
+                          std::vector<u64>* final_counts) {
   return run_one_trial_impl(spec, prepare_trial_set(spec), trial_index, seed,
-                            nullptr);
+                            nullptr, final_counts);
 }
 
 TrialRange run_trial_range(const TrialSpec& spec, u64 master_seed, u64 begin,
@@ -237,6 +275,7 @@ std::vector<TrialRange> run_trial_ranges(
                            blocks_data == nullptr ? nullptr : blocks_data + i);
     monitor.trial_finished(t, record->interactions);
   });
+  trim_heap_after_set(shared.probe->num_agents());
 
 #if PP_OBS
   // Deterministic merge: trial-index order within each range, never

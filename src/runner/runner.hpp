@@ -153,8 +153,11 @@ TrialSet run_trials(const TrialSpec& spec, const RunnerOptions& opt,
                     ThreadPool& pool);
 
 /// Runs one trial of `spec` with an explicit seed — the replay tool behind
-/// TrialRecord::seed, also the kernel the parallel fan-out executes.
-TrialRecord run_one_trial(const TrialSpec& spec, u64 trial_index, u64 seed);
+/// TrialRecord::seed, also the kernel the parallel fan-out executes.  When
+/// `final_counts` is set it receives the trial's final configuration (the
+/// chunk cache's behaviour fingerprint hashes it with the record).
+TrialRecord run_one_trial(const TrialSpec& spec, u64 trial_index, u64 seed,
+                          std::vector<u64>* final_counts = nullptr);
 
 /// One contiguous slice of a trial set — the unit a service worker shard
 /// computes (src/service/) and the unit the chunk-result cache stores.
@@ -183,7 +186,10 @@ struct TrialRange {
 /// size; that is what makes cached and sharded results identical to
 /// uncached ones.  Ranges may be empty or non-contiguous; they must not
 /// overlap.  Arms the ProgressMonitor (POPRANK_HEARTBEAT /
-/// POPRANK_STALL_TIMEOUT) over the trials it runs.
+/// POPRANK_STALL_TIMEOUT) over the trials it runs.  After a set of at
+/// least 2^16 agents it returns the allocator's free pages to the OS once
+/// the heaps have grown by 4 MiB since it last did (glibc only), so a long
+/// sweep's RSS does not ratchet up between sets.
 std::vector<TrialRange> run_trial_ranges(
     const TrialSpec& spec, u64 master_seed,
     const std::vector<std::pair<u64, u64>>& ranges, ThreadPool& pool);

@@ -129,6 +129,7 @@ RunResult AdversarialScheduler::run(Protocol& p, Rng& rng,
     p.apply_pair(pick->s1, pick->s2);
     ++r.interactions;
     ++r.productive_steps;
+    note_productive_step(r.interactions);
     if (opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
       break;

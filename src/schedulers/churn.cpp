@@ -24,6 +24,69 @@ StateId sample_reset(const Protocol& p, Rng& rng, ChurnReset reset) {
   return 0;
 }
 
+// Applies one fault event — `faults` uniformly random agents teleported to
+// reset states — through the protocol's O(log n) mutation API.  Agents are
+// anonymous, so "a uniform agent" is a state sampled with probability
+// proportional to its count.  `sources`/`sinks` are O(faults) scratch:
+// the states the burst took agents from and put them in.  The burst
+// net-changed the configuration iff the two differ as multisets, which
+// sorting both decides in O(faults log faults), never O(states).  Returns
+// whether it did.
+bool move_burst(Protocol& p, Rng& rng, u64 faults, ChurnReset reset,
+                std::vector<StateId>& sources, std::vector<StateId>& sinks) {
+  const u64 n = p.num_agents();
+  for (u64 f = 0; f < faults; ++f) {
+    const StateId victim = p.uniform_agent_state(rng.below(n));
+    const StateId target = sample_reset(p, rng, reset);
+    if (victim == target) continue;
+    p.move_agent(victim, target);
+    PP_OBS_ADD(kFaultStateTouches, 2);
+    sources.push_back(victim);
+    sinks.push_back(target);
+  }
+  std::sort(sources.begin(), sources.end());
+  std::sort(sinks.begin(), sinks.end());
+  const bool changed = sources != sinks;
+  sources.clear();
+  sinks.clear();
+  // Mirror the reference path: on_reset() fires only when the burst
+  // net-changed the configuration.
+  if (changed) p.commit_moves();
+  return changed;
+}
+
+// The transparent reference for one fault event: mutate a copy of the
+// configuration, rebuild everything.  O(n) per event.  Consumes the same
+// draws as move_burst and samples each victim from the same intermediate
+// distribution (move_burst applies each move immediately, which is exactly
+// this scan of the mutated copy), so the two agree draw for draw.
+bool rebuild_burst(Protocol& p, Rng& rng, u64 faults, ChurnReset reset) {
+  const u64 n = p.num_agents();
+  Configuration c = p.configuration();
+  for (u64 f = 0; f < faults; ++f) {
+    u64 t = rng.below(n);
+    StateId victim = 0;
+    while (t >= c.counts[victim]) {
+      t -= c.counts[victim];
+      ++victim;
+    }
+    const StateId target = sample_reset(p, rng, reset);
+    --c.counts[victim];
+    ++c.counts[target];
+  }
+  const bool changed = c.counts != p.counts();
+  if (changed) p.reset(std::move(c));
+  return changed;
+}
+
+// A fault is environmental, never a productive step of the protocol.
+void note_fault(RunResult& r, u64 faults) {
+  ++r.fault_events;
+  PP_OBS_INC(kFaultEvents);
+  PP_OBS_ADD(kFaultAgentMoves, faults);
+  PP_OBS_SKETCH(kFaultBurst, faults);
+}
+
 }  // namespace
 
 ChurnScheduler::ChurnScheduler(double rate, u64 faults, u64 active,
@@ -50,95 +113,80 @@ RunResult ChurnScheduler::run(Protocol& p, Rng& rng,
   const u64 n = p.num_agents();
   PP_ASSERT_MSG(n >= 2, "churn scheduler needs n >= 2 (no pairs otherwise)");
   const u64 storm_ticks = active_ != 0 ? active_ : 50 * n;
+  const u64 storm_end = std::min(storm_ticks, opt.max_interactions);
 
-  // Fast-path scratch, O(faults): the states one burst took agents from
-  // and the states it put them in.  The burst net-changed the configuration
-  // iff the two differ as multisets, which sorting both decides in
-  // O(faults log faults), never O(states).
+  RunResult r = rebuild_reference_ ? tick_storm(p, rng, opt, storm_end)
+                                   : event_storm(p, rng, opt, storm_end);
+
+  // The storm is over: run clean to silence on the remaining budget, with
+  // exact null-skipping.
+  detail::run_clean_tail(p, rng, opt, r);
+  return detail::finish_run(
+      p, r, static_cast<double>(r.interactions) / static_cast<double>(n));
+}
+
+RunResult ChurnScheduler::event_storm(Protocol& p, Rng& rng,
+                                      const RunOptions& opt,
+                                      u64 storm_end) const {
+  const u64 n = p.num_agents();
+  const double pairs = static_cast<double>(n) * static_cast<double>(n - 1);
   std::vector<StateId> sources;
   std::vector<StateId> sinks;
-  if (!rebuild_reference_) {
-    sources.reserve(faults_);
-    sinks.reserve(faults_);
-  }
+  sources.reserve(faults_);
+  sinks.reserve(faults_);
 
   RunResult r;
-  while (r.interactions < storm_ticks &&
-         r.interactions < opt.max_interactions) {
+  while (r.interactions < storm_end) {
+    // A tick is a fault with probability rate_ and otherwise a uniform
+    // meeting, productive with probability q; everything else is null.
+    // The gap to the next eventful tick is Geometric(e), capped at the
+    // storm's end (exact: the gap is memoryless).  e == 0 (rate 0 on a
+    // silent configuration) jumps straight to storm_end without a draw.
+    const double q = static_cast<double>(p.productive_weight()) / pairs;
+    const double e = rate_ + (1.0 - rate_) * q;
+    if (!advance_past_nulls(rng, e, storm_end, r.interactions)) break;
+    bool changed = true;
+    // bernoulli draws nothing at 0 or 1, so rate 1 spends exactly the
+    // reference's draws and rate 0 exactly run_accelerated's.
+    if (rng.bernoulli(rate_ / e)) {
+      changed = move_burst(p, rng, faults_, reset_, sources, sinks);
+      note_fault(r, faults_);
+    } else {
+      p.step_productive(rng);
+      ++r.productive_steps;
+      note_productive_step(r.interactions);
+    }
+    if (changed && opt.on_change && !opt.on_change(p, r.interactions)) {
+      r.aborted = true;
+      break;
+    }
+  }
+  return r;
+}
+
+RunResult ChurnScheduler::tick_storm(Protocol& p, Rng& rng,
+                                     const RunOptions& opt,
+                                     u64 storm_end) const {
+  RunResult r;
+  while (r.interactions < storm_end) {
     ++r.interactions;
     bool changed;
     if (rng.bernoulli(rate_)) {
-      // Fault event: teleport faults_ uniformly random agents.  Agents are
-      // anonymous, so "a uniform agent" is a state sampled with probability
-      // proportional to its count.  Both paths below consume identical RNG
-      // draws and sample victims from the same intermediate distributions
-      // (the fast path applies each move immediately, which is exactly the
-      // reference path's scan of its mutated copy), so trajectories are
-      // bit-identical — pinned by test.
-      if (rebuild_reference_) {
-        // Transparent reference: mutate a copy, rebuild everything.  O(n)
-        // per fault event.
-        Configuration c = p.configuration();
-        for (u64 f = 0; f < faults_; ++f) {
-          u64 t = rng.below(n);
-          StateId victim = 0;
-          while (t >= c.counts[victim]) {
-            t -= c.counts[victim];
-            ++victim;
-          }
-          const StateId target = sample_reset(p, rng, reset_);
-          --c.counts[victim];
-          ++c.counts[target];
-        }
-        changed = c.counts != p.counts();
-        if (changed) p.reset(c);
-      } else {
-        // Fast path: O(log n) per teleported agent through the protocol's
-        // mutation API.
-        for (u64 f = 0; f < faults_; ++f) {
-          const StateId victim = p.uniform_agent_state(rng.below(n));
-          const StateId target = sample_reset(p, rng, reset_);
-          if (victim == target) continue;
-          p.move_agent(victim, target);
-          PP_OBS_ADD(kFaultStateTouches, 2);
-          sources.push_back(victim);
-          sinks.push_back(target);
-        }
-        std::sort(sources.begin(), sources.end());
-        std::sort(sinks.begin(), sinks.end());
-        changed = sources != sinks;
-        sources.clear();
-        sinks.clear();
-        // Mirror the reference path: on_reset() fires only when the burst
-        // net-changed the configuration.
-        if (changed) p.commit_moves();
-      }
-      ++r.fault_events;
-      PP_OBS_INC(kFaultEvents);
-      PP_OBS_ADD(kFaultAgentMoves, faults_);
-      PP_OBS_SKETCH(kFaultBurst, faults_);
-      // A fault is environmental, never a productive step of the protocol.
+      changed = rebuild_burst(p, rng, faults_, reset_);
+      note_fault(r, faults_);
     } else {
       changed = p.step_uniform(rng);
       if (changed) {
         ++r.productive_steps;
-        PP_OBS_INC(kProductiveSteps);
+        note_productive_step(r.interactions);
       }
     }
     if (changed && opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
-      return detail::finish_run(p, r,
-                                static_cast<double>(r.interactions) /
-                                    static_cast<double>(n));
+      break;
     }
   }
-
-  // The storm is over: run clean to silence on the remaining budget, with
-  // exact null-skipping (the storm phase is the only part that needs
-  // tick-by-tick simulation).
-  detail::run_clean_tail(p, rng, opt, r);
-  return detail::finish_run(
-      p, r, static_cast<double>(r.interactions) / static_cast<double>(n));
+  return r;
 }
 
 }  // namespace pp

@@ -455,6 +455,7 @@ RunResult markov_loop(State& ms, Protocol& p, Rng& rng,
     }
     if (!fire_now) continue;
     ms.fire(p, rng, r.productive_steps);
+    note_productive_step(r.interactions);
     if (opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
       break;
@@ -588,6 +589,7 @@ RunResult DynamicGraphScheduler::run_rewire(Protocol& p, Rng& rng,
     }
     es->fire(p, es->pairs().sample_productive(rng));
     ++r.productive_steps;
+    note_productive_step(r.interactions);
     if (opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
       break;

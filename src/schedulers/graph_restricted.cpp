@@ -45,6 +45,7 @@ RunResult GraphRestrictedScheduler::run(Protocol& p, Rng& rng,
     }
     es.fire(p, fired);
     ++r.productive_steps;
+    note_productive_step(r.interactions);
     if (opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
       break;

@@ -1,7 +1,9 @@
 #include "schedulers/pair_sampler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "obs/counters.hpp"
@@ -408,14 +410,16 @@ TrapKernelSampler::TrapKernelSampler(const Protocol& p, u64 power)
           static_cast<unsigned __int128>(std::numeric_limits<i64>::max()),
       "trap kernel weight total overflows the sampler's 63-bit range — "
       "reduce n or the kernel power");
-  counts_ = p.counts();
+  // The protocol's count vector is the sampler's too: fire() runs every
+  // change through p, so no mirror is kept.
+  const std::vector<u64>& counts = p.counts();
   trap_count_.assign(traps, 0);
   trap_extra_.assign(traps, 0);
-  for (u64 s = 0; s < counts_.size(); ++s) {
-    trap_count_[layout_.trap_of(static_cast<StateId>(s))] += counts_[s];
+  for (u64 s = 0; s < counts.size(); ++s) {
+    trap_count_[layout_.trap_of(static_cast<StateId>(s))] += counts[s];
     if (s >= num_ranks_) {
-      trap_extra_[layout_.trap_of(static_cast<StateId>(s))] += counts_[s];
-      x_extra_ += counts_[s];
+      trap_extra_[layout_.trap_of(static_cast<StateId>(s))] += counts[s];
+      x_extra_ += counts[s];
     }
   }
   row_.assign(traps, 0);
@@ -436,7 +440,7 @@ TrapKernelSampler::TrapKernelSampler(const Protocol& p, u64 power)
   }
   std::vector<u64> diag(num_ranks_, 0);
   for (u64 s = 0; s < num_ranks_; ++s) {
-    const u64 c = counts_[s];
+    const u64 c = counts[s];
     diag[s] = c < 2 ? 0 : c * (c - 1);
   }
   rank_diag_.assign(std::move(diag));
@@ -463,7 +467,7 @@ u64 TrapKernelSampler::kappa(StateId s, StateId t) const {
   return kval(layout_.trap_of(s), layout_.trap_of(t));
 }
 
-void TrapKernelSampler::apply_delta(StateId s, i64 delta) {
+void TrapKernelSampler::apply_delta(StateId s, i64 delta, u64 count) {
   PP_DCHECK(delta == 1 || delta == -1);
   const bool add = delta > 0;
   const u64 star = layout_.trap_of(s);
@@ -490,11 +494,9 @@ void TrapKernelSampler::apply_delta(StateId s, i64 delta) {
       row_[b] -= kval(b, star);
     }
   }
-  counts_[s] = add ? counts_[s] + 1 : counts_[s] - 1;
   trap_count_[star] = add ? trap_count_[star] + 1 : trap_count_[star] - 1;
   if (s < num_ranks_) {
-    const u64 c = counts_[s];
-    rank_diag_.set(s, c < 2 ? 0 : c * (c - 1));
+    rank_diag_.set(s, count < 2 ? 0 : count * (count - 1));
     return;
   }
   x_extra_ = add ? x_extra_ + 1 : x_extra_ - 1;
@@ -517,6 +519,7 @@ void TrapKernelSampler::apply_delta(StateId s, i64 delta) {
 
 void TrapKernelSampler::fire(Protocol& p, Rng& rng) {
   PP_DCHECK(&p == p_);
+  const std::vector<u64>& counts = p.counts();
   const u64 rank_mass = k1_ * rank_diag_.total();
   const u64 total = productive_total();
   PP_DCHECK(total > 0);
@@ -533,9 +536,9 @@ void TrapKernelSampler::fire(Protocol& p, Rng& rng) {
     // (its full row minus the self pair).
     u64 u = pick - rank_mass;
     StateId b = kNoState;
-    for (u64 s = num_ranks_; s < counts_.size(); ++s) {
+    for (u64 s = num_ranks_; s < counts.size(); ++s) {
       const u64 mass =
-          counts_[s] * (row_[layout_.trap_of(static_cast<StateId>(s))] - k1_);
+          counts[s] * (row_[layout_.trap_of(static_cast<StateId>(s))] - k1_);
       if (u < mass) {
         b = static_cast<StateId>(s);
         break;
@@ -561,7 +564,7 @@ void TrapKernelSampler::fire(Protocol& p, Rng& rng) {
       u64 idx = rem / kv;
       for (u64 v = layout_.trap_offset(a);; ++v) {
         const u64 c =
-            counts_[v] - (static_cast<StateId>(v) == b ? u64{1} : u64{0});
+            counts[v] - (static_cast<StateId>(v) == b ? u64{1} : u64{0});
         if (idx < c) {
           partner = static_cast<StateId>(v);
           break;
@@ -582,13 +585,29 @@ void TrapKernelSampler::fire(Protocol& p, Rng& rng) {
   }
   const auto [a1, a2] = p.apply_pair(si, sr);
   PP_DCHECK(a1 != si || a2 != sr);
+  // p's counts now hold the step's end state.  Fold its moves in order,
+  // each with its state's count as of that move (the step's later moves of
+  // the same state undone), so the rank-diagonal tree takes the values, in
+  // the order, that a move-by-move count mirror would give it.
+  std::array<std::pair<StateId, i64>, 4> moves{};
+  u64 m = 0;
   if (a1 != si) {
-    apply_delta(si, -1);
-    apply_delta(a1, +1);
+    moves[m++] = {si, -1};
+    moves[m++] = {a1, +1};
   }
   if (a2 != sr) {
-    apply_delta(sr, -1);
-    apply_delta(a2, +1);
+    moves[m++] = {sr, -1};
+    moves[m++] = {a2, +1};
+  }
+  for (u64 k = 0; k < m; ++k) {
+    const auto [s, delta] = moves[k];
+    u64 count = counts[s];
+    for (u64 j = k + 1; j < m; ++j) {
+      if (moves[j].first == s) {
+        count = moves[j].second > 0 ? count - 1 : count + 1;
+      }
+    }
+    apply_delta(s, delta, count);
   }
 }
 

@@ -424,7 +424,7 @@ class TrapKernelSampler {
   /// Number of u64 slots held — tests pin this at O(states).
   u64 memory_slots() const {
     return kval_.size() + trap_count_.size() + trap_extra_.size() +
-           row_.size() + extra_row_.size() + counts_.size();
+           row_.size() + extra_row_.size();
   }
 
  private:
@@ -434,9 +434,9 @@ class TrapKernelSampler {
     return kval_[std::min(gap, layout_.num_traps() - gap)];
   }
 
-  /// Folds one count change (state s gains `delta` ∈ {-1, +1} agents)
-  /// into every aggregate; O(√states).
-  void apply_delta(StateId s, i64 delta);
+  /// Folds one count change (state s gains `delta` ∈ {-1, +1} agents,
+  /// leaving it `count` agents) into every aggregate; O(√states).
+  void apply_delta(StateId s, i64 delta, u64 count);
 
   const Protocol* p_;
   Protocol::ExtraPairClasses classes_;
@@ -445,7 +445,6 @@ class TrapKernelSampler {
   u64 k1_ = 0;  // κ at trap distance 0 or 1 (= T^power)
   RingLayout layout_;
   std::vector<u64> kval_;        // kernel value per trap ring distance
-  std::vector<u64> counts_;      // mirror of p's count vector
   std::vector<u64> trap_count_;  // agents per trap
   std::vector<u64> trap_extra_;  // extra-state agents per trap
   std::vector<u64> row_;         // R[A] = Σ_B n_B κ(A, B)

@@ -55,7 +55,7 @@ RunResult PartitionScheduler::run(Protocol& p, Rng& rng,
       agents[a] = sa;
       agents[b] = sb;
       ++r.productive_steps;
-      PP_OBS_INC(kProductiveSteps);
+      note_productive_step(r.interactions);
       if (opt.on_change && !opt.on_change(p, r.interactions)) {
         r.aborted = true;
         return false;

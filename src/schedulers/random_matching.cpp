@@ -37,6 +37,7 @@ RunResult RandomMatchingScheduler::run(Protocol& p, Rng& rng,
       agents[a] = sa;
       agents[b] = sb;
       ++r.productive_steps;
+      note_productive_step(r.interactions);
       if (opt.on_change && !opt.on_change(p, r.interactions)) {
         r.aborted = true;
         return detail::finish_run(p, r, rounds_elapsed(r));

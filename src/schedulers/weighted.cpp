@@ -204,6 +204,7 @@ RunResult WeightedScheduler::run_dense(Protocol& p, Rng& rng,
     ds.refresh_position(i);
     ds.refresh_position(j);
     ++r.productive_steps;
+    note_productive_step(r.interactions);
     if (opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
       break;
@@ -238,6 +239,7 @@ RunResult WeightedScheduler::run_hierarchical(Protocol& p, Rng& rng,
     const auto [i, j] = gs.sample_productive(rng);
     gs.fire(p, i, j);
     ++r.productive_steps;
+    note_productive_step(r.interactions);
     if (opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
       break;
@@ -263,6 +265,7 @@ RunResult WeightedScheduler::run_trap(Protocol& p, Rng& rng,
     }
     ts.fire(p, rng);
     ++r.productive_steps;
+    note_productive_step(r.interactions);
     if (opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
       break;

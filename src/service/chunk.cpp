@@ -1,18 +1,23 @@
 #include "service/chunk.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
+#include <map>
+#include <mutex>
 #include <sstream>
 
 #include "common/assert.hpp"
 #include "common/file_io.hpp"
 #include "obs/provenance.hpp"
+#include "protocols/factory.hpp"
 
 namespace pp::service {
 namespace {
 
 constexpr const char* kMagic = "poprank-chunk-v1";
+constexpr u64 kFingerprintSeed = 0xf1e9e7b1a5ed5eedULL;
 
 // Doubles travel as their u64 bit pattern: "%.17g" round-trips on one
 // libc, but the cache must be bit-exact across any producer/consumer
@@ -46,13 +51,44 @@ u64 default_chunk_trials(u64 trials) {
   return per >= 1 ? per : 1;
 }
 
+u64 behaviour_fingerprint(const TrialSpec& spec) {
+  PP_ASSERT_MSG(obs::spec_is_replayable(spec),
+                "behaviour fingerprint needs a registry protocol and n");
+  TrialSpec canon = spec;
+  canon.n = std::min(spec.n, preferred_population(spec.protocol, 64));
+  canon.max_interactions = std::min(spec.max_interactions, 200 * canon.n);
+  canon.label = "behaviour-fingerprint";
+  const std::string kv = obs::spec_to_kv(canon);
+
+  static std::mutex mu;
+  static std::map<std::string, u64> memo;
+  const std::lock_guard<std::mutex> lock(mu);
+  if (const auto it = memo.find(kv); it != memo.end()) return it->second;
+  std::vector<u64> counts;
+  const TrialRecord r =
+      run_one_trial(canon, /*trial_index=*/0, kFingerprintSeed, &counts);
+  std::string bytes = std::to_string(r.interactions) + " " +
+                      std::to_string(r.productive_steps) + " " +
+                      std::to_string(r.fault_events) + " " +
+                      std::to_string(double_bits(r.parallel_time)) + " " +
+                      (r.silent ? "1" : "0") + (r.valid ? "1" : "0") + ":";
+  for (const u64 c : counts) bytes += std::to_string(c) + ",";
+  const u64 fingerprint = obs::fnv1a64(bytes);
+  memo.emplace(kv, fingerprint);
+  return fingerprint;
+}
+
 std::string chunk_key_material(const TrialSpec& spec, u64 master_seed,
                                const ChunkSpec& chunk) {
+  char fingerprint[24];
+  std::snprintf(fingerprint, sizeof(fingerprint), "%016" PRIx64,
+                behaviour_fingerprint(spec));
   std::string out = obs::spec_to_kv(spec);
   out += "master_seed=" + std::to_string(master_seed) + ";";
   out += "chunk=" + std::to_string(chunk.begin) + "-" +
          std::to_string(chunk.end) + ";";
-  out += "format=1;";
+  out += "fingerprint=" + std::string(fingerprint) + ";";
+  out += "format=2;";
   return out;
 }
 

@@ -53,9 +53,21 @@ std::vector<ChunkSpec> chunk_ranges(u64 trials, u64 chunk_trials);
 /// runs with different --service-workers values share cache entries.
 u64 default_chunk_trials(u64 trials);
 
+/// The behaviour fingerprint of a replayable spec: fnv1a64 of the
+/// TrialRecord and final counts of one canonical trial of it — the same
+/// protocol, init, engine and scheduler at n = min(spec.n,
+/// preferred_population(protocol, 64)), a budget of at most 200 n
+/// interactions, and a fixed label and seed.  It changes by itself whenever
+/// the code's output for the spec changes (no hand-bumped version to
+/// forget), so a cache filled by other code misses instead of returning
+/// that code's answers.  Memoised once per process per canonical spec
+/// (thread-safe), so a sweep pays for it once, not per chunk.
+u64 behaviour_fingerprint(const TrialSpec& spec);
+
 /// The canonical key material of one chunk: spec_to_kv(spec) plus master
-/// seed, trial range and a format version.  Two chunks agree on this
-/// string iff their records must be bit-identical.
+/// seed, trial range, the spec's behaviour fingerprint and a format
+/// version.  Two chunks agree on this string iff their records must be
+/// bit-identical.
 std::string chunk_key_material(const TrialSpec& spec, u64 master_seed,
                                const ChunkSpec& chunk);
 

@@ -9,6 +9,11 @@
 // targeted-fault scenarios keep their original names and coverage.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
+#include "analysis/stats.hpp"
 #include "core/engine.hpp"
 #include "core/initial.hpp"
 #include "core/leader_election.hpp"
@@ -16,6 +21,7 @@
 #include "protocols/factory.hpp"
 #include "rng/seed_sequence.hpp"
 #include "runner/runner.hpp"
+#include "runner/thread_pool.hpp"
 #include "schedulers/churn.hpp"
 
 namespace pp {
@@ -175,23 +181,26 @@ TEST(FaultInjection, ChurnRunsThroughTheRunnerSchedulerPath) {
   EXPECT_GT(total_faults, 0u);
 }
 
-// Runs the same churn storm through the O(k log n) move_agent fast path
-// and the O(n) copy-and-rebuild reference, then asserts the trajectories
-// are bit-identical: identical run statistics, identical final count
-// vector, and identically positioned rng streams (the follow-up draws
-// agree).  Both schedulers share one RNG-draw discipline by construction
-// (see schedulers/churn.cpp), so any divergence is a real bug, not noise.
-void expect_churn_paths_bit_identical(u64 n, double rate, u64 faults,
-                                      u64 storm, ChurnReset reset, u64 seed) {
+// Runs the same fault-only churn storm (rate 1: every tick is a fault
+// event) through the event-driven move_agent storm and the tick-by-tick
+// copy-and-rebuild reference, then asserts the trajectories are
+// bit-identical: identical run statistics, identical final count vector,
+// and identically positioned rng streams (the follow-up draws agree).  At
+// rate 1 neither storm draws for the gap or the fault coin, so both spend
+// exactly the burst draws — any divergence is a real bug in the fault
+// path, not noise.  Between the anchors the storms agree in distribution
+// only; ChurnStormMatchesDenseReferenceInDistribution covers that.
+void expect_churn_paths_bit_identical(u64 n, u64 faults, u64 storm,
+                                      ChurnReset reset, u64 seed) {
   ProtocolPtr a = make_protocol("ag", n);
   ProtocolPtr b = make_protocol("ag", n);
   Rng init(seed);
   a->reset(initial::uniform_random(*a, init));
   b->reset(a->configuration());
 
-  const ChurnScheduler fast(rate, faults, storm, reset,
+  const ChurnScheduler fast(/*rate=*/1.0, faults, storm, reset,
                             /*rebuild_reference=*/false);
-  const ChurnScheduler ref(rate, faults, storm, reset,
+  const ChurnScheduler ref(/*rate=*/1.0, faults, storm, reset,
                            /*rebuild_reference=*/true);
   RunOptions opt;
   opt.max_interactions = storm;  // compare the storms alone, no clean tail
@@ -202,7 +211,7 @@ void expect_churn_paths_bit_identical(u64 n, double rate, u64 faults,
   EXPECT_EQ(x.interactions, y.interactions);
   EXPECT_EQ(x.productive_steps, y.productive_steps);
   EXPECT_EQ(x.fault_events, y.fault_events);
-  EXPECT_GT(x.fault_events, 0u);
+  EXPECT_EQ(x.fault_events, storm);
   EXPECT_EQ(x.silent, y.silent);
   EXPECT_EQ(a->counts(), b->counts());
   EXPECT_EQ(ra.below(u64{1} << 30), rb.below(u64{1} << 30));
@@ -216,8 +225,8 @@ TEST(FaultInjection, MoveAgentFastPathIsBitIdenticalToRebuildReference) {
        {ChurnReset::kUniformState, ChurnReset::kUniformRank,
         ChurnReset::kStateZero}) {
     for (const u64 faults : {u64{1}, u64{64}}) {
-      expect_churn_paths_bit_identical(/*n=*/3000, /*rate=*/0.5, faults,
-                                       /*storm=*/600, reset, 7100 + combo);
+      expect_churn_paths_bit_identical(/*n=*/3000, faults, /*storm=*/600,
+                                       reset, 7100 + combo);
       ++combo;
     }
   }
@@ -228,9 +237,130 @@ TEST(FaultInjection, MoveAgentFastPathIsBitIdenticalAtHundredThousand) {
   // each reference fault event costs O(n) and the fast path O(k log n).
   // The storm is short because the *reference* is slow — which is the
   // point.
-  expect_churn_paths_bit_identical(/*n=*/100000, /*rate=*/0.5, /*faults=*/64,
+  expect_churn_paths_bit_identical(/*n=*/100000, /*faults=*/64,
                                    /*storm=*/200, ChurnReset::kUniformRank,
                                    /*seed=*/7200);
+}
+
+TEST(FaultInjection, FaultFreeStormIsExactlyTheAcceleratedEngine) {
+  // The other anchor: at rate 0 the event probability is the productive
+  // fraction itself and the fault coin draws nothing, so a storm that
+  // fills the whole budget spends exactly run_accelerated's draws.
+  for (const auto name : protocol_names()) {
+    const u64 n = preferred_population(name, 64);
+    const u64 budget = 20 * n;
+    ProtocolPtr a = make_protocol(name, n);
+    ProtocolPtr b = make_protocol(name, n);
+    Rng init(derive_seed(7300, name));
+    a->reset(initial::uniform_random(*a, init));
+    b->reset(a->configuration());
+
+    const ChurnScheduler churn(/*rate=*/0.0, /*faults=*/1, /*active=*/budget,
+                               ChurnReset::kUniformState);
+    RunOptions opt;
+    opt.max_interactions = budget;
+    Rng ra(derive_seed(7301, name)), rb(derive_seed(7301, name));
+    const RunResult x = churn.run(*a, ra, opt);
+    const RunResult y = run_accelerated(*b, rb, opt);
+
+    // A silent run would stop run_accelerated's clock at silence while the
+    // storm's runs on to its end; the budget is short enough to rule it
+    // out, so every field must agree.
+    ASSERT_FALSE(y.silent) << name;
+    EXPECT_EQ(x.interactions, y.interactions) << name;
+    EXPECT_EQ(x.productive_steps, y.productive_steps) << name;
+    EXPECT_GT(x.productive_steps, 0u) << name;
+    EXPECT_EQ(x.fault_events, 0u) << name;
+    EXPECT_EQ(x.silent, y.silent) << name;
+    EXPECT_EQ(x.valid, y.valid) << name;
+    EXPECT_EQ(x.aborted, y.aborted) << name;
+    EXPECT_EQ(x.parallel_time, y.parallel_time) << name;
+    EXPECT_EQ(a->counts(), b->counts()) << name;
+    EXPECT_EQ(ra.bits(), rb.bits()) << name;
+  }
+}
+
+// Per-trial outcomes of one storm, then a clean run to silence.
+struct StormSample {
+  RunningStat faults;
+  RunningStat productive;
+  RunningStat end_weight;
+  RunningStat recovery;
+  u64 invalid = 0;
+};
+
+StormSample sample_storms(ThreadPool& pool, const std::string& name,
+                          ChurnReset reset, bool dense_ref, u64 trials,
+                          u64 seed) {
+  const u64 n = preferred_population(name, 100);
+  const ChurnScheduler churn(/*rate=*/0.02, /*faults=*/2, /*active=*/0,
+                             reset, dense_ref);  // active 0 = 50 n
+  const ProtocolPtr proto = make_protocol(name, n);
+  struct Trial {
+    u64 faults, productive, end_weight;
+    double recovery;
+    bool valid;
+  };
+  std::vector<Trial> out(trials);
+  pool.parallel_for(trials, [&](u64 t) {
+    ProtocolPtr p = proto->fresh();
+    Rng rng(derive_seed(seed, name, t));
+    p->reset(initial::uniform_random(*p, rng));
+    RunOptions opt;
+    opt.max_interactions = 50 * n;  // the storm alone
+    const RunResult r = churn.run(*p, rng, opt);
+    const u64 end_weight = p->productive_weight();
+    const RunResult clean = run_accelerated(*p, rng);
+    out[t] = {r.fault_events, r.productive_steps, end_weight,
+              clean.parallel_time, clean.valid};
+  });
+  StormSample s;  // folded in trial order: deterministic
+  for (const Trial& t : out) {
+    s.faults.push(static_cast<double>(t.faults));
+    s.productive.push(static_cast<double>(t.productive));
+    s.end_weight.push(static_cast<double>(t.end_weight));
+    s.recovery.push(t.recovery);
+    if (!t.valid) ++s.invalid;
+  }
+  return s;
+}
+
+double two_sample_z(const RunningStat& a, const RunningStat& b) {
+  const double se =
+      std::sqrt(a.variance() / static_cast<double>(a.count()) +
+                b.variance() / static_cast<double>(b.count()));
+  return se > 0 ? (a.mean() - b.mean()) / se : 0.0;
+}
+
+TEST(FaultInjection, ChurnStormMatchesDenseReferenceInDistribution) {
+  // Between the two anchors the event-driven storm and the tick-by-tick
+  // reference agree in law, not in bits.  Fixed seeds keep the test
+  // deterministic; |z| <= 4 on each statistic (16 comparisons) rejects a
+  // real bias of a few standard errors, while a correct storm would trip
+  // it for about one seed choice in a thousand.
+  const u64 trials = 4000;
+  ThreadPool pool(4);
+  for (const std::string name : {"ring-of-traps", "line-of-traps"}) {
+    for (const ChurnReset reset :
+         {ChurnReset::kUniformState, ChurnReset::kStateZero}) {
+      const StormSample fast =
+          sample_storms(pool, name, reset, false, trials, 7400);
+      const StormSample ref =
+          sample_storms(pool, name, reset, true, trials, 7500);
+      const std::string where =
+          name + " reset=" + std::to_string(static_cast<int>(reset));
+      EXPECT_EQ(fast.invalid + ref.invalid, 0u) << where;
+      EXPECT_GT(fast.faults.mean(), 1.0) << where;
+      EXPECT_LE(std::fabs(two_sample_z(fast.faults, ref.faults)), 4.0)
+          << where;
+      EXPECT_LE(std::fabs(two_sample_z(fast.productive, ref.productive)), 4.0)
+          << where;
+      EXPECT_LE(std::fabs(two_sample_z(fast.end_weight, ref.end_weight)), 4.0)
+          << where;
+      EXPECT_LE(std::fabs(two_sample_z(fast.recovery, ref.recovery)), 4.0)
+          << where;
+    }
+  }
 }
 
 TEST(FaultInjection, FaultStateTouchesCounterBoundsPerFaultWork) {

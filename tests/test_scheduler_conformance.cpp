@@ -16,6 +16,7 @@
 //   * determinism: the same seed through the same (const, stateless)
 //     scheduler instance reproduces the trajectory exactly — identical
 //     RunResult and identical final configuration;
+//   * the productive_steps obs counter equals RunResult::productive_steps;
 //   * models whose mixing is complete (everything except sparse
 //     graph-restricted topologies and adversaries on the line protocol)
 //     actually stabilise within a generous whp budget.
@@ -27,12 +28,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <string>
 #include <vector>
 
 #include "core/initial.hpp"
+#include "obs/counters.hpp"
 #include "protocols/factory.hpp"
 #include "rng/seed_sequence.hpp"
 
@@ -90,12 +93,13 @@ class SchedulerConformance : public ::testing::TestWithParam<Case> {
     return true;
   }
 
-  RunResult run_once(const Scheduler& sched, u64 seed, ProtocolPtr& out) {
+  RunResult run_once(const Scheduler& sched, u64 seed, ProtocolPtr& out,
+                     u64 max_interactions = 0) {
     out = make_protocol(GetParam().protocol, population());
     Rng rng(seed);
     out->reset(initial::uniform_random(*out, rng));
     RunOptions opt;
-    opt.max_interactions = budget();
+    opt.max_interactions = max_interactions != 0 ? max_interactions : budget();
     return sched.run(*out, rng, opt);
   }
 };
@@ -160,6 +164,33 @@ TEST_P(SchedulerConformance, SameSeedSameTrajectory) {
   EXPECT_EQ(ra.aborted, rb.aborted);
   EXPECT_EQ(ra.parallel_time, rb.parallel_time);
   EXPECT_EQ(a->counts(), b->counts());
+}
+
+TEST_P(SchedulerConformance, ProductiveStepCounterMatchesRunResult) {
+#if !PP_OBS
+  GTEST_SKIP() << "observability compiled out";
+#else
+  // The productive_steps counter is bumped where a step fires, never at
+  // the null-skip gate (whose eventful steps include churn faults and edge
+  // flips), so per trial it must equal RunResult::productive_steps under
+  // every interaction model.
+  const Case& c = GetParam();
+  const SchedulerPtr sched = make_scheduler(c.spec, population());
+  const u64 seed = derive_seed(72, c.spec.to_string(), population());
+  // The counter needs no silent run: a short budget keeps the slow
+  // line-of-traps cases cheap.
+  const u64 n = population();
+  ProtocolPtr p;
+  obs::CounterBlock block;
+  RunResult r;
+  {
+    obs::ScopedCounters scope(&block);
+    r = run_once(*sched, seed, p, std::min(budget(), 50 * n * n));
+  }
+  EXPECT_GT(r.productive_steps, 0u);
+  EXPECT_EQ(block.get(obs::Counter::kProductiveSteps), r.productive_steps)
+      << sched->name();
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulersAllProtocols, SchedulerConformance,

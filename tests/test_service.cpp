@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/file_io.hpp"
+#include "obs/provenance.hpp"
 #include "protocols/factory.hpp"
 #include "rng/random.hpp"
 #include "runner/runner.hpp"
@@ -311,6 +312,111 @@ TEST(ChunkCache, ConcurrentStoresOfOneChunk) {
   expect_records_identical(range.records, load.range.records);
   EXPECT_EQ(list_dir(dir),
             std::vector<std::string>{service::chunk_file_name(material)});
+}
+
+TrialSpec churn_spec(const std::string& label, u64 n) {
+  TrialSpec spec;
+  spec.label = label;
+  spec.protocol = "ring-of-traps";
+  spec.n = n;
+  spec.engine = EngineKind::kScheduled;
+  spec.scheduler.kind = SchedulerKind::kChurn;
+  spec.scheduler.churn_rate = 0.05;
+  return spec;
+}
+
+// The fingerprint is a pure function of the spec's behaviour: fixed across
+// calls and threads, blind to what the canonical trial normalises away
+// (label, n past the canonical size, budget past 200 n), and different for
+// a different interaction model.
+TEST(ChunkCache, BehaviourFingerprintIsStableAcrossCallsAndThreads) {
+  const TrialSpec spec = churn_spec("svc-fp", 100);
+  const u64 fp = service::behaviour_fingerprint(spec);
+  EXPECT_EQ(service::behaviour_fingerprint(spec), fp);
+
+  TrialSpec relabelled = churn_spec("svc-fp-other", 300);
+  relabelled.max_interactions = 1000000;
+  EXPECT_EQ(service::behaviour_fingerprint(relabelled), fp);
+
+  TrialSpec dense = spec;
+  dense.scheduler.dense_reference = true;
+  EXPECT_NE(service::behaviour_fingerprint(dense), fp);
+  EXPECT_NE(service::behaviour_fingerprint(small_spec("svc-fp")), fp);
+
+  // First calls for a new canonical spec race on a pool: every thread
+  // sees the same value, and the same as a later serial call.
+  TrialSpec fresh_spec = churn_spec("svc-fp-race", 40);
+  fresh_spec.scheduler.churn_faults = 3;
+  for (const u64 threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    std::vector<u64> seen(8);
+    pool.parallel_for(seen.size(), [&](u64 i) {
+      seen[i] = service::behaviour_fingerprint(fresh_spec);
+    });
+    for (const u64 v : seen) {
+      EXPECT_EQ(v, service::behaviour_fingerprint(fresh_spec)) << threads;
+    }
+  }
+
+  // A cache filled from a 1-thread pool is all hits from a 4-thread one.
+  service::ServiceOptions sopt;
+  sopt.cache_dir = fresh_dir("svcfp");
+  sopt.chunk_trials = 4;
+  const RunnerOptions opt = small_options(12);
+  service::ServiceReport rep;
+  ThreadPool one(1), four(4);
+  const TrialSet cold = run_trials_sharded(spec, opt, sopt, one, &rep);
+  EXPECT_EQ(rep.cache_misses, 3u);
+  const TrialSet warm = run_trials_sharded(spec, opt, sopt, four, &rep);
+  EXPECT_EQ(rep.cache_hits, 3u);
+  EXPECT_EQ(rep.cache_misses, 0u);
+  expect_sets_identical(cold, warm);
+}
+
+// A cache filled by code that predates the fingerprint (key material in
+// the format=1 layout) must read as all misses — never as hits carrying
+// that code's answers — and the pass that recomputes the misses must give
+// exactly the uncached records.
+TEST(ChunkCache, PreFingerprintKeysMissAndRecompute) {
+  const TrialSpec spec = churn_spec("svc-old-format", 30);
+  const RunnerOptions opt = small_options(12);
+  const TrialSet base = run_trials(spec, opt);
+
+  service::ServiceOptions sopt;
+  sopt.cache_dir = fresh_dir("svcold");
+  sopt.chunk_trials = 4;
+  const std::string chunks_dir = sopt.cache_dir + "/chunks";
+  make_dirs(chunks_dir);
+  for (const service::ChunkSpec& chunk : service::chunk_ranges(12, 4)) {
+    const std::string old_material =
+        obs::spec_to_kv(spec) + "master_seed=" +
+        std::to_string(opt.master_seed) + ";chunk=" +
+        std::to_string(chunk.begin) + "-" + std::to_string(chunk.end) +
+        ";format=1;";
+    const std::string material =
+        service::chunk_key_material(spec, opt.master_seed, chunk);
+    EXPECT_NE(service::chunk_file_name(old_material),
+              service::chunk_file_name(material));
+    // Old code's answers: well-formed records that differ from today's.
+    TrialRange range =
+        run_trial_range(spec, opt.master_seed, chunk.begin, chunk.end);
+    for (TrialRecord& r : range.records) ++r.fault_events;
+    ASSERT_NE(service::store_chunk(chunks_dir, old_material, chunk, range),
+              "");
+  }
+
+  ThreadPool pool(2);
+  service::ServiceReport rep;
+  const TrialSet cold = run_trials_sharded(spec, opt, sopt, pool, &rep);
+  EXPECT_EQ(rep.chunks, 3u);
+  EXPECT_EQ(rep.cache_hits, 0u);
+  EXPECT_EQ(rep.cache_stale, 0u);
+  EXPECT_EQ(rep.cache_misses, 3u);
+  expect_sets_identical(base, cold);
+
+  const TrialSet warm = run_trials_sharded(spec, opt, sopt, pool, &rep);
+  EXPECT_EQ(rep.cache_hits, 3u);
+  expect_sets_identical(base, warm);
 }
 
 // ---- sharded runs: bit identity ------------------------------------------
