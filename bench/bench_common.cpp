@@ -6,7 +6,6 @@
 
 #include "protocols/factory.hpp"
 #include "service/coordinator.hpp"
-#include "service/worker.hpp"
 
 namespace pp::bench {
 namespace {
@@ -20,11 +19,6 @@ const char* env_or(const char* name, const char* fallback) {
 
 Context init(int argc, char** argv, const std::string& experiment_id,
              const std::string& claim) {
-  // Worker-mode re-exec hook: when the sharded service spawned this
-  // process as a shard, run the worker loop and exit before any bench
-  // setup (banner, BENCH log truncation, thread pool) happens.
-  service::maybe_run_worker(argc, argv);
-
   Context ctx;
   ctx.trials = std::strtoull(env_or("POPRANK_TRIALS", "0"), nullptr, 10);
   ctx.seed = std::strtoull(env_or("POPRANK_SEED", "0"), nullptr, 10);
@@ -33,8 +27,6 @@ Context init(int argc, char** argv, const std::string& experiment_id,
   ctx.max_n = std::strtoull(env_or("POPRANK_MAX_N", "0"), nullptr, 10);
   ctx.csv_dir = env_or("POPRANK_CSV_DIR", "");
   ctx.cache_dir = env_or("POPRANK_CACHE_DIR", "");
-  ctx.service_workers =
-      std::strtoull(env_or("POPRANK_SERVICE_WORKERS", "0"), nullptr, 10);
   if (std::strcmp(env_or("POPRANK_QUICK", "0"), "1") == 0) {
     ctx.size = Context::Size::kQuick;
   }
@@ -55,8 +47,6 @@ Context init(int argc, char** argv, const std::string& experiment_id,
       ctx.csv_dir = a + 6;
     } else if (std::strncmp(a, "--cache-dir=", 12) == 0) {
       ctx.cache_dir = a + 12;
-    } else if (std::strncmp(a, "--service-workers=", 18) == 0) {
-      ctx.service_workers = std::strtoull(a + 18, nullptr, 10);
     } else if (std::strcmp(a, "--quick") == 0) {
       ctx.size = Context::Size::kQuick;
     } else if (std::strcmp(a, "--full") == 0) {
@@ -64,17 +54,10 @@ Context init(int argc, char** argv, const std::string& experiment_id,
     } else {
       std::fprintf(stderr,
                    "unknown flag %s (known: --trials= --seed= --threads= "
-                   "--max-n= --csv= --cache-dir= --service-workers= "
-                   "--quick --full)\n",
+                   "--max-n= --csv= --cache-dir= --quick --full)\n",
                    a);
       std::exit(2);
     }
-  }
-  if (ctx.service_workers != 0 && ctx.cache_dir.empty()) {
-    std::fprintf(stderr,
-                 "--service-workers needs --cache-dir (the chunk cache is "
-                 "how shards hand results back)\n");
-    std::exit(2);
   }
   ctx.pool = std::make_shared<ThreadPool>(ctx.threads);
   // Truncates the file and stamps a per-run id: a BENCH file always
@@ -99,8 +82,7 @@ Context init(int argc, char** argv, const std::string& experiment_id,
               ctx.trials ? " | trials overridden" : "",
               ctx.threads ? std::to_string(ctx.threads).c_str() : "auto");
   if (!ctx.cache_dir.empty()) {
-    std::printf("service: cache %s | workers %llu\n", ctx.cache_dir.c_str(),
-                static_cast<unsigned long long>(ctx.service_workers));
+    std::printf("service: cache %s\n", ctx.cache_dir.c_str());
   }
   std::printf("=======================================================\n\n");
   return ctx;
@@ -109,10 +91,7 @@ Context init(int argc, char** argv, const std::string& experiment_id,
 TrialSet run_trials_ctx(const Context& ctx, const TrialSpec& spec,
                         const RunnerOptions& opt) {
   if (ctx.cache_dir.empty()) return run_trials(spec, opt, *ctx.pool);
-  service::ServiceOptions sopt;
-  sopt.workers = ctx.service_workers;
-  sopt.cache_dir = ctx.cache_dir;
-  return service::run_trials_sharded(spec, opt, sopt, *ctx.pool);
+  return service::run_trials_cached(spec, opt, ctx.cache_dir, *ctx.pool);
 }
 
 TrialSpec make_spec(const std::string& label, u64 n,

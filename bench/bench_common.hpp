@@ -17,15 +17,10 @@
 //                                    resumed across invocations
 //                                    (src/service/); missing chunks run
 //                                    on the --threads pool
-//   --service-workers=K / POPRANK_SERVICE_WORKERS   fan chunk computation
-//                                    out to K re-exec'd worker processes
-//                                    (requires --cache-dir; results stay
-//                                    bit-identical to K=0)
 //
 // Measurement points fan their trials out over the parallel runner
 // (src/runner/), whose per-trial seed streams make the numbers identical
-// for every thread count — and identical to the old serial harness, which
-// used the same derive_seed(root, label, trial) scheme.
+// for every thread count.
 //
 // Besides the human-readable tables, every binary appends one JSON line
 // per measurement point to BENCH_<experiment>.json (in the CSV dir if set,
@@ -40,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/experiment.hpp"
 #include "analysis/fit.hpp"
 #include "analysis/table.hpp"
 #include "common/types.hpp"
@@ -55,12 +49,9 @@ struct Context {
   u64 threads = 0;  ///< runner pool size; 0 = hardware concurrency
   u64 max_n = 0;   ///< population cap; 0 = per-size default (see header)
   std::string csv_dir;
-  /// Sharded experiment service knobs (src/service/): a non-empty
-  /// cache_dir routes replayable measurement points through the chunk
-  /// cache, and service_workers > 0 additionally fans chunk computation
-  /// out to that many worker processes.  Both default off.
+  /// Chunk cache root (src/service/): non-empty routes replayable
+  /// measurement points through the cache.  Default off.
   std::string cache_dir;
-  u64 service_workers = 0;
   BenchLog bench_log;  ///< machine-readable per-point records (one run/file)
   enum class Size { kQuick, kStandard, kFull } size = Size::kStandard;
 
@@ -135,11 +126,11 @@ TrialSpec make_spec(const std::string& label, u64 n,
 RunnerOptions runner_options(const Context& ctx, u64 trials);
 
 /// The context-aware trial dispatcher every bench measurement point goes
-/// through: plain run_trials() on the context pool normally, the sharded
-/// service (run_trials_sharded: chunk cache + optional worker processes,
-/// misses on the context pool) when --cache-dir is set.  The service runs
-/// non-replayable specs uncached on the same pool, with a stderr note —
-/// never silently.  Results are bit-identical either way.
+/// through: plain run_trials() on the context pool normally, the chunk
+/// cache (run_trials_cached: misses on the context pool) when --cache-dir
+/// is set.  The cache runs non-replayable specs uncached on the same pool,
+/// with a stderr note — never silently.  Results are bit-identical either
+/// way.
 TrialSet run_trials_ctx(const Context& ctx, const TrialSpec& spec,
                         const RunnerOptions& opt);
 

@@ -11,16 +11,15 @@
 //     cache regime (L1, L2, L3, DRAM) of the sum tree under every engine,
 //   * per-trial set-up (factory, uniform random start, reset) at
 //     10^5 .. 10^7 agents, in ms,
-//   * Monte-Carlo trial throughput, legacy serial harness vs the parallel
-//     runner at 1/2/4/8 threads (compare the "trials/s" counters; on a
-//     machine with >= 8 cores the 8-thread runner should be >= 3x the
-//     serial path — the fan-out is embarrassingly parallel).
+//   * Monte-Carlo trial throughput of the runner on pools of 1/2/4/8
+//     threads (compare the "trials/s" counters; the 1-thread pool is the
+//     serial baseline, and on a machine with >= 8 cores the 8-thread pool
+//     should be >= 3x it — the fan-out is embarrassingly parallel).
 #include <benchmark/benchmark.h>
 
 #include <utility>
 #include <vector>
 
-#include "analysis/experiment.hpp"
 #include "core/engine.hpp"
 #include "core/initial.hpp"
 #include "ds/fenwick.hpp"
@@ -226,30 +225,13 @@ BENCHMARK(BM_TrialSetup)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// ---- Monte-Carlo trial throughput: serial harness vs parallel runner ----
+// ---- Monte-Carlo trial throughput: the runner at 1..8 threads -----------
 
 constexpr u64 kTrialBatch = 32;  ///< trials per benchmark iteration
 
-/// The pre-runner path: analysis/experiment.cpp's serial measure() loop.
-void BM_TrialsSerial(benchmark::State& state) {
-  const u64 n = preferred_population("ring-of-traps", 1024);
-  MeasureOptions opt;
-  opt.trials = kTrialBatch;
-  opt.label = "bm-trials";
-  u64 trials = 0;
-  for (auto _ : state) {
-    const Measurement m =
-        measure([n] { return make_protocol("ring-of-traps", n); },
-                gen_uniform_random(), opt);
-    trials += m.parallel_times.size();
-    benchmark::DoNotOptimize(m.timeouts);
-  }
-  state.counters["trials/s"] = benchmark::Counter(
-      static_cast<double>(trials), benchmark::Counter::kIsRate);
-}
-
-/// The same trials (bit-identical per-trial results — same seed stream)
-/// fanned out over the runner's thread pool; Arg = thread count.
+/// kTrialBatch trials fanned out over the runner's thread pool (per-trial
+/// results bit-identical for every pool size); Arg = thread count, and
+/// Arg 1 is the serial baseline.
 void BM_TrialsRunner(benchmark::State& state) {
   const u64 n = preferred_population("ring-of-traps", 1024);
   TrialSpec spec;
@@ -271,7 +253,6 @@ void BM_TrialsRunner(benchmark::State& state) {
       static_cast<double>(trials), benchmark::Counter::kIsRate);
 }
 
-BENCHMARK(BM_TrialsSerial)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_TrialsRunner)
     ->Arg(1)
     ->Arg(2)

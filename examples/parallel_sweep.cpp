@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/experiment.hpp"
 #include "analysis/table.hpp"
 #include "protocols/factory.hpp"
 #include "runner/runner.hpp"

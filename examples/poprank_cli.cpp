@@ -19,10 +19,10 @@
 #include <cstring>
 #include <string>
 
-#include "analysis/experiment.hpp"
 #include "analysis/timeline.hpp"
 #include "core/initial.hpp"
 #include "protocols/factory.hpp"
+#include "runner/runner.hpp"
 
 namespace {
 
@@ -136,24 +136,26 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  pp::MeasureOptions opt;
+  pp::TrialSpec spec;
+  spec.protocol = args.protocol;
+  spec.n = n;
+  spec.init = gen;
+  spec.max_interactions = args.budget;
+  spec.label = "cli-" + args.protocol + "-" + args.start;
+  pp::RunnerOptions opt;
   opt.trials = args.trials;
-  opt.root_seed = args.seed;
-  opt.label = "cli-" + args.protocol + "-" + args.start;
-  opt.max_interactions = args.budget;
-  const std::string proto = args.protocol;
-  const pp::Measurement m = pp::measure(
-      [proto, n] { return pp::make_protocol(proto, n); }, gen, opt);
-  const pp::Summary s = m.summary();
+  opt.master_seed = args.seed;
+  const pp::TrialSet set = pp::run_trials(spec, opt);
+  const pp::Summary s = set.summary();
   std::printf("parallel time: %s\n", s.to_string().c_str());
-  if (m.timeouts > 0) {
+  if (set.stats.timeouts > 0) {
     std::printf("timeouts     : %llu of %llu trials hit the budget\n",
-                static_cast<unsigned long long>(m.timeouts),
+                static_cast<unsigned long long>(set.stats.timeouts),
                 static_cast<unsigned long long>(args.trials));
   }
-  if (m.invalid > 0) {
+  if (set.stats.invalid > 0) {
     std::printf("INVALID      : %llu trials (this is a bug)\n",
-                static_cast<unsigned long long>(m.invalid));
+                static_cast<unsigned long long>(set.stats.invalid));
     return 1;
   }
   return 0;

@@ -10,8 +10,8 @@
 #include <cstdlib>
 #include <string>
 
-#include "analysis/experiment.hpp"
 #include "protocols/factory.hpp"
+#include "runner/runner.hpp"
 
 int main(int argc, char** argv) {
   const pp::u64 n_hint =
@@ -36,14 +36,13 @@ int main(int argc, char** argv) {
 
   for (const auto& e : entries) {
     const pp::u64 n = pp::preferred_population(e.name, n_hint);
-    pp::MeasureOptions opt;
+    pp::TrialSpec spec;
+    spec.protocol = e.name;
+    spec.n = n;
+    spec.label = std::string("tradeoff-example-") + e.name;
+    pp::RunnerOptions opt;
     opt.trials = trials;
-    opt.label = std::string("tradeoff-example-") + e.name;
-    const std::string name = e.name;
-    const pp::Measurement m =
-        pp::measure([name, n] { return pp::make_protocol(name, n); },
-                    pp::gen_uniform_random(), opt);
-    const pp::Summary s = m.summary();
+    const pp::Summary s = pp::run_trials(spec, opt).summary();
     const pp::ProtocolPtr probe = pp::make_protocol(e.name, n);
     std::printf("%-16s %8llu %12llu %14.1f %14.1f   %s\n", e.name,
                 static_cast<unsigned long long>(n),

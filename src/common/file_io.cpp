@@ -86,21 +86,4 @@ bool make_dirs(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
 }
 
-bool create_exclusive(const std::string& path, std::string_view content) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-  if (fd < 0) return false;
-  const bool ok = write_all(fd, content);
-  ::close(fd);
-  return ok;
-}
-
-bool path_exists(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-bool remove_file(const std::string& path) {
-  return ::unlink(path.c_str()) == 0;
-}
-
 }  // namespace pp

@@ -15,6 +15,8 @@
 // All generators are deterministic functions of the supplied Rng.
 #pragma once
 
+#include <functional>
+
 #include "core/configuration.hpp"
 #include "core/protocol.hpp"
 #include "rng/random.hpp"
@@ -58,3 +60,25 @@ Configuration k_distant(const Protocol& p, u64 k, Rng& rng);
 Configuration all_in_state(const Protocol& p, StateId s);
 
 }  // namespace pp::initial
+
+namespace pp {
+
+/// A starting-configuration generator, as TrialSpec::init takes it.
+using ConfigGenerator = std::function<Configuration(const Protocol&, Rng&)>;
+
+/// The generator behind gen_uniform_random(), as a *named* functor: the
+/// provenance layer (obs/provenance.hpp) recognises it through
+/// std::function::target to mark the spec replayable — behaviourally it
+/// is exactly the runner's default when TrialSpec::init is unset.
+struct UniformRandomGen {
+  Configuration operator()(const Protocol& p, Rng& rng) const;
+};
+
+/// The generators above, bound as ConfigGenerators.
+ConfigGenerator gen_uniform_random();
+ConfigGenerator gen_uniform_random_ranks();
+ConfigGenerator gen_k_distant(u64 k);
+ConfigGenerator gen_all_in_state(StateId s);
+ConfigGenerator gen_all_in_last_state();
+
+}  // namespace pp

@@ -49,6 +49,7 @@
 // productive_weight() == 0  <=>  the configuration is silent.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -274,5 +275,6 @@ class Protocol {
 };
 
 using ProtocolPtr = std::unique_ptr<Protocol>;
+using ProtocolFactory = std::function<ProtocolPtr()>;
 
 }  // namespace pp

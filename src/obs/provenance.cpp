@@ -284,8 +284,8 @@ void ManifestWriter::append_point(const TrialSpec& spec, const TrialSet& set,
                                 ? spec.scheduler.to_string()
                                 : engine_kind_name(spec.engine);
   // Composed in memory, appended with one O_APPEND write: concurrent
-  // writers (service worker shards sharing a sidecar path) interleave
-  // whole records, never bytes within one (common/file_io.hpp).
+  // writers (two benches sharing a sidecar path) interleave whole
+  // records, never bytes within one (common/file_io.hpp).
   std::ostringstream f;
   f << "{\"kind\":\"point\",\"label\":\"" << json_escape(spec.label)
     << "\",\"n\":" << n << ",\"param\":" << fmt_double(param)

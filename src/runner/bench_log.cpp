@@ -55,10 +55,9 @@ void BenchLog::append_point(const std::string& point, u64 n, double param,
                             const TrialSpec* spec) const {
   if (!enabled()) return;
   // The record is composed in memory and appended with one O_APPEND
-  // write (common/file_io.hpp): concurrent writers — service worker
-  // shards, or two benches pointed at one CSV dir — can interleave whole
-  // records but never bytes within one, so the JSON-lines file stays
-  // parseable.  (An ofstream in app mode flushes in unspecified slices
+  // write (common/file_io.hpp): concurrent writers — two benches
+  // pointed at one CSV dir — can interleave whole records but never bytes
+  // within one, so the JSON-lines file stays parseable.  (An ofstream in app mode flushes in unspecified slices
   // and gives no such guarantee.)
   std::ostringstream f;
   char num[40];

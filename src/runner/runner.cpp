@@ -189,38 +189,6 @@ TrialRecord run_one_trial(const TrialSpec& spec, u64 trial_index, u64 seed,
                             nullptr, final_counts);
 }
 
-TrialRange run_trial_range(const TrialSpec& spec, u64 master_seed, u64 begin,
-                           u64 end,
-                           const std::function<void(u64)>& after_trial) {
-  PP_ASSERT(begin <= end);
-  obs::init_from_env();
-  const SeedStream seeds(master_seed, spec.label);
-
-  TrialRange out;
-  out.begin = begin;
-  out.end = end;
-  if (begin == end) return out;
-  // Same sharing discipline as run_trial_ranges(): protocol tables and
-  // the scheduler are built once per range, not per trial.
-  const SharedTrialState shared = prepare_trial_set(spec);
-  out.records.reserve(end - begin);
-  for (u64 t = begin; t < end; ++t) {
-#if PP_OBS
-    obs::CounterBlock block;
-    obs::CounterBlock* const block_ptr = &block;
-#else
-    obs::CounterBlock* const block_ptr = nullptr;
-#endif
-    out.records.push_back(
-        run_one_trial_impl(spec, shared, t, seeds.trial_seed(t), block_ptr));
-#if PP_OBS
-    out.counters.merge(block);
-#endif
-    if (after_trial) after_trial(t);
-  }
-  return out;
-}
-
 std::vector<TrialRange> run_trial_ranges(
     const TrialSpec& spec, u64 master_seed,
     const std::vector<std::pair<u64, u64>>& ranges, ThreadPool& pool) {

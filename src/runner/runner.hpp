@@ -9,22 +9,20 @@
 // plus merged aggregates.
 //
 // Determinism guarantee.  Trial t's generator is seeded with
-// derive_seed(master_seed, label, t) — exactly the derivation the legacy
-// serial harness (analysis/experiment.cpp) uses — and each trial writes
-// only to its own slot of a preallocated record array.  Aggregates are
-// folded from that array in trial-index order after the fan-out completes.
-// Results are therefore bit-identical for every thread count and schedule,
-// and identical to a serial run with the same master seed.
+// derive_seed(master_seed, label, t), and each trial writes only to its
+// own slot of a preallocated record array.  Aggregates are folded from
+// that array in trial-index order after the fan-out completes.  Results
+// are therefore bit-identical for every thread count and schedule, a
+// 1-thread pool included.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "analysis/experiment.hpp"
 #include "analysis/stats.hpp"
 #include "core/engine.hpp"
+#include "core/initial.hpp"
 #include "core/protocol.hpp"
 #include "obs/counters.hpp"
 #include "runner/seed_stream.hpp"
@@ -45,15 +43,15 @@ struct TrialSpec {
   /// Protocol to instantiate: a factory-registry name ("ag",
   /// "ring-of-traps", ...) with population n, or an explicit factory that
   /// overrides both.  The factory is called once per trial set (once per
-  /// run_trials(), run_trial_ranges(), run_trial_range() or run_one_trial()
-  /// call), not once per trial: every trial runs on a Protocol::fresh()
-  /// instance of its result, sharing its layout or tree.
+  /// run_trials(), run_trial_ranges() or run_one_trial() call), not once
+  /// per trial: every trial runs on a Protocol::fresh() instance of its
+  /// result, sharing its layout or tree.
   std::string protocol;
   u64 n = 0;
   ProtocolFactory factory;
 
-  /// Starting-configuration generator (analysis/experiment.hpp /
-  /// core/initial.hpp); defaults to uniform_random over all states.
+  /// Starting-configuration generator (core/initial.hpp); defaults to
+  /// uniform_random over all states.
   ConfigGenerator init;
 
   EngineKind engine = EngineKind::kAccelerated;
@@ -159,8 +157,8 @@ TrialSet run_trials(const TrialSpec& spec, const RunnerOptions& opt,
 TrialRecord run_one_trial(const TrialSpec& spec, u64 trial_index, u64 seed,
                           std::vector<u64>* final_counts = nullptr);
 
-/// One contiguous slice of a trial set — the unit a service worker shard
-/// computes (src/service/) and the unit the chunk-result cache stores.
+/// One contiguous slice of a trial set — the unit the chunk-result cache
+/// stores (src/service/).
 struct TrialRange {
   u64 begin = 0;
   u64 end = 0;  ///< exclusive
@@ -175,17 +173,17 @@ struct TrialRange {
 /// Runs every trial of the half-open ranges [first, second) of `spec` on
 /// `pool` and returns one TrialRange per input range, in input order —
 /// the one pooled fan-out kernel (run_trials() is its single-range case,
-/// the service's in-process miss pass its many-range case).  Trial t is
-/// seeded derive_seed(master_seed, label, t), the pool hands out single
-/// trials across all ranges, one protocol (each trial runs on its
-/// fresh() instance) and one scheduler are shared by all of them, and
-/// each range's counters merge its per-trial blocks in trial order.
-/// Because a trial's stream depends only on (master_seed, label, t),
-/// folding the ranges of any partition of [0, trials) back together in
-/// trial-index order reproduces run_trials() bit for bit, for every pool
-/// size; that is what makes cached and sharded results identical to
-/// uncached ones.  Ranges may be empty or non-contiguous; they must not
-/// overlap.  Arms the ProgressMonitor (POPRANK_HEARTBEAT /
+/// the chunk cache's miss pass its many-range case).  Trial t is seeded
+/// derive_seed(master_seed, label, t), the pool hands out single trials
+/// across all ranges, one protocol (each trial runs on its fresh()
+/// instance) and one scheduler are shared by all of them, and each
+/// range's counters merge its per-trial blocks in trial order.  Because a
+/// trial's stream depends only on (master_seed, label, t), folding the
+/// ranges of any partition of [0, trials) back together in trial-index
+/// order reproduces run_trials() bit for bit, for every pool size; that
+/// is what makes cached results identical to uncached ones.  Ranges may
+/// be empty or non-contiguous; they must not overlap.  Arms the
+/// ProgressMonitor (POPRANK_HEARTBEAT /
 /// POPRANK_STALL_TIMEOUT) over the trials it runs.  After a set of at
 /// least 2^16 agents it returns the allocator's free pages to the OS once
 /// the heaps have grown by 4 MiB since it last did (glibc only), so a long
@@ -193,14 +191,5 @@ struct TrialRange {
 std::vector<TrialRange> run_trial_ranges(
     const TrialSpec& spec, u64 master_seed,
     const std::vector<std::pair<u64, u64>>& ranges, ThreadPool& pool);
-
-/// Runs trials [begin, end) of `spec` serially on the calling thread —
-/// the same trials run_trial_ranges() computes for that range, bit for
-/// bit, with `after_trial(t)` (optional) fired after each trial completes:
-/// the service worker's lease-heartbeat hook, and the only reason this
-/// serial path exists.
-TrialRange run_trial_range(const TrialSpec& spec, u64 master_seed, u64 begin,
-                           u64 end,
-                           const std::function<void(u64)>& after_trial = {});
 
 }  // namespace pp

@@ -4,9 +4,7 @@
 // (master seed, label, trial index) via the library-wide derive_seed()
 // (FNV-1a + SplitMix64, rng/seed_sequence.hpp).  Because a trial's stream
 // depends only on those three values — never on which thread ran it or in
-// what order — the runner's results are bit-identical for any thread count,
-// and identical to the legacy serial harness (analysis/experiment.cpp),
-// which uses the same derivation.
+// what order — the runner's results are bit-identical for any thread count.
 #pragma once
 
 #include <string>

@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "common/assert.hpp"
 #include "common/file_io.hpp"
@@ -16,7 +18,7 @@
 namespace pp::service {
 namespace {
 
-constexpr const char* kMagic = "poprank-chunk-v1";
+constexpr const char* kMagic = "poprank-chunk-v2";
 constexpr u64 kFingerprintSeed = 0xf1e9e7b1a5ed5eedULL;
 
 // Doubles travel as their u64 bit pattern: "%.17g" round-trips on one
@@ -24,6 +26,33 @@ constexpr u64 kFingerprintSeed = 0xf1e9e7b1a5ed5eedULL;
 // pair, so no decimal detour.
 u64 double_bits(double v) { return std::bit_cast<u64>(v); }
 double bits_double(u64 b) { return std::bit_cast<double>(b); }
+
+// The checksum line that closes a chunk file: "sum <16 hex digits>\n".
+std::string sum_line(std::string_view payload) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "sum %016" PRIx64 "\n",
+                obs::fnv1a64(payload));
+  return buf;
+}
+
+// The payload of a chunk file (everything before its sum line) when the
+// file ends in a sum line that matches it and the end marker; nullopt for
+// any other file, so a torn or altered file is rejected before a single
+// field of it is read.
+std::optional<std::string_view> verified_payload(std::string_view file) {
+  constexpr std::string_view kEnd = "end\n";
+  constexpr u64 kSumLine = 4 + 16 + 1;  // "sum " + hex + '\n'
+  if (file.size() < kSumLine + kEnd.size() ||
+      file.substr(file.size() - kEnd.size()) != kEnd) {
+    return std::nullopt;
+  }
+  const std::string_view payload =
+      file.substr(0, file.size() - kEnd.size() - kSumLine);
+  if (file.substr(payload.size(), kSumLine) != sum_line(payload)) {
+    return std::nullopt;
+  }
+  return payload;
+}
 
 }  // namespace
 
@@ -42,10 +71,9 @@ std::vector<ChunkSpec> chunk_ranges(u64 trials, u64 chunk_trials) {
 }
 
 u64 default_chunk_trials(u64 trials) {
-  // ~16 chunks per point: enough slack for 4 workers to stay busy and
-  // for a lost lease to cost 1/16 of the point, small enough that the
-  // cache directory stays browsable.  Never a function of the worker
-  // count (see header).
+  // ~16 chunks per point: a resumed sweep redoes at most 1/16 of an
+  // interrupted point, and the cache directory stays browsable.  Never a
+  // function of the pool size (see header).
   const u64 chunks = 16;
   const u64 per = (trials + chunks - 1) / chunks;
   return per >= 1 ? per : 1;
@@ -88,7 +116,7 @@ std::string chunk_key_material(const TrialSpec& spec, u64 master_seed,
   out += "chunk=" + std::to_string(chunk.begin) + "-" +
          std::to_string(chunk.end) + ";";
   out += "fingerprint=" + std::string(fingerprint) + ";";
-  out += "format=2;";
+  out += "format=3;";
   return out;
 }
 
@@ -124,8 +152,10 @@ std::string serialize_chunk(const std::string& key_material,
   // wall_us is outside the determinism contract (it records the compute
   // cost of whichever process filled the cache) but kept for diagnostics.
   out << "wall_us " << range.counters.wall_us << "\n";
-  out << "end\n";
-  return out.str();
+  std::string file = out.str();
+  file += sum_line(file);
+  file += "end\n";
+  return file;
 }
 
 ChunkLoad load_chunk(const std::string& dir, const std::string& key_material,
@@ -139,7 +169,11 @@ ChunkLoad load_chunk(const std::string& dir, const std::string& key_material,
   }
   out.status = CacheProbe::kStale;  // until every check below passes
 
-  std::istringstream in(*content);
+  // The checksum first: only a payload that hashes to its sum line is
+  // parsed at all (verify the bytes, then what they claim).
+  const std::optional<std::string_view> payload = verified_payload(*content);
+  if (!payload.has_value()) return out;
+  std::istringstream in{std::string(*payload)};
   std::string line;
   if (!std::getline(in, line) || line != kMagic) return out;
   if (!std::getline(in, line) || line != "key " + key_material) return out;
@@ -195,7 +229,7 @@ ChunkLoad load_chunk(const std::string& dir, const std::string& key_material,
     ls >> tag >> range.counters.wall_us;
     if (!ls || tag != "wall_us") return out;
   }
-  if (!std::getline(in, line) || line != "end") return out;
+  if (in.peek() != std::char_traits<char>::eof()) return out;
 
   out.status = CacheProbe::kHit;
   out.range = std::move(range);

@@ -1,32 +1,31 @@
-// Chunk model of the sharded experiment service (src/service/).
+// Chunk model of the chunk cache (src/service/).
 //
 // A sweep point (one TrialSpec × trials) is partitioned into contiguous
 // *chunks* of trial indices.  Because the runner derives trial t's RNG
 // stream from (master_seed, label, t) alone, a chunk's records are a
 // pure function of (spec, master_seed, range) — independent of which
-// process computes them, when, or after how many retries.  That purity
-// is what the whole service leans on:
-//
-//  * Chunks are the unit of distribution: worker shards claim and
-//    compute them independently (service/worker.hpp).
+// pool computes them, when, or how often.  That purity is what the cache
+// leans on:
 //
 //  * Chunks are the unit of caching: a computed chunk is persisted as
 //    `chunk-<fnv1a64-key>.result` in the cache directory, keyed by the
 //    canonical spec serialisation (obs/provenance.hpp spec_to_kv) plus
-//    master seed and trial range.  Any spec change — protocol, n,
-//    budget, scheduler knob — changes the key, so a stale entry can
-//    never be *returned*; a file whose embedded key material disagrees
-//    with its name's (corruption, a hash collision, a format bump) is
-//    detected on load and reported kStale, then recomputed.
+//    master seed, trial range and behaviour fingerprint.  Any spec change
+//    — protocol, n, budget, scheduler knob — changes the key, so a stale
+//    entry can never be *returned*.
 //
-//  * Chunks are idempotent: two workers computing the same chunk write
-//    byte-identical files via atomic rename, so lease races lose only
+//  * Chunks are idempotent: two stores of the same chunk write the same
+//    records and counters (only the diagnostic wall_us differs), each
+//    file whole via atomic rename, so concurrent writers lose only
 //    duplicated work, never correctness.
 //
 // The result file is a line format with bit-exact doubles (parallel
-// times travel as hex u64 bit patterns, not decimal round-trips) and a
-// trailing end marker, so a torn or truncated file is unloadable rather
-// than silently short.
+// times travel as hex u64 bit patterns, not decimal round-trips), closed
+// by a `sum <fnv1a64 of everything before it>` line and an end marker.
+// load_chunk() checks that checksum before it trusts any field, then the
+// embedded key (a hash collision, a format bump), the range and the
+// framing; a file failing any check is kStale and recomputed, so a torn,
+// truncated or altered file is never served.
 #pragma once
 
 #include <optional>
@@ -49,8 +48,8 @@ struct ChunkSpec {
 std::vector<ChunkSpec> chunk_ranges(u64 trials, u64 chunk_trials);
 
 /// The default chunk size for a sweep point: trials/16-ish.  Deliberately
-/// a function of the trial count alone — never of the worker count — so
-/// runs with different --service-workers values share cache entries.
+/// a function of the trial count alone — never of the pool size — so
+/// runs with different --threads values share cache entries.
 u64 default_chunk_trials(u64 trials);
 
 /// The behaviour fingerprint of a replayable spec: fnv1a64 of the
@@ -75,12 +74,12 @@ std::string chunk_key_material(const TrialSpec& spec, u64 master_seed,
 std::string chunk_file_name(const std::string& key_material);
 
 /// Serialises a computed chunk (records + merged counters) with its key
-/// material.  load_chunk() inverts it exactly.
+/// material and payload checksum.  load_chunk() inverts it exactly.
 std::string serialize_chunk(const std::string& key_material,
                             const ChunkSpec& chunk, const TrialRange& range);
 
 enum class CacheProbe {
-  kHit,    ///< file present, key material and shape verified, loaded
+  kHit,    ///< file present, checksum, key and shape verified, loaded
   kMiss,   ///< no file at the keyed path
   kStale,  ///< file present but failed verification — recompute
 };
@@ -93,8 +92,8 @@ struct ChunkLoad {
 };
 
 /// Probes `dir` for the chunk keyed by `key_material`.  kHit fills
-/// `range`; kStale means a file existed but its embedded key, range or
-/// framing disagreed (the caller recomputes and overwrites).
+/// `range`; kStale means a file existed but its checksum, embedded key,
+/// range or framing disagreed (the caller recomputes and overwrites).
 ChunkLoad load_chunk(const std::string& dir, const std::string& key_material,
                      const ChunkSpec& chunk);
 

@@ -180,9 +180,10 @@ TEST(ProtocolSharing, FactoryRunsOncePerTrialSet) {
   opt.threads = 4;
   run_trials(spec, opt);
   EXPECT_EQ(calls, 1u);
-  run_trial_range(spec, opt.master_seed, 0, 5);
+  ThreadPool pool(2);
+  run_trial_ranges(spec, opt.master_seed, {{0, 5}, {7, 9}}, pool);
   EXPECT_EQ(calls, 2u);
-  run_trial_range(spec, opt.master_seed, 3, 3);  // empty: nothing to build
+  run_trial_ranges(spec, opt.master_seed, {{3, 3}}, pool);  // nothing to run
   EXPECT_EQ(calls, 2u);
 }
 

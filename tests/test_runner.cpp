@@ -1,7 +1,7 @@
 // Tests for the parallel Monte-Carlo runner (src/runner/): the thread
 // pool, the per-trial seed streams, thread-count-independent determinism
-// of both records and aggregates, equivalence with the legacy serial
-// harness, and the CSV/JSONL sinks.
+// of both records and aggregates, equivalence with a serial oracle loop,
+// and the CSV/JSONL sinks.
 #include "runner/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/experiment.hpp"
 #include "analysis/stats.hpp"
+#include "core/initial.hpp"
 #include "protocols/factory.hpp"
 #include "runner/seed_stream.hpp"
 #include "runner/sink.hpp"
@@ -165,16 +165,27 @@ TEST(Runner, RecordsAreTrialIndexOrdered) {
   }
 }
 
-// The runner reproduces the legacy serial harness exactly: same seed
+// The runner reproduces a plain serial loop exactly: same seed
 // derivation, same per-trial Rng usage, same numbers.
-TEST(Runner, MatchesLegacySerialMeasure) {
-  MeasureOptions legacy;
-  legacy.trials = 12;
-  legacy.root_seed = 4242;
-  legacy.label = "compat";
-  const Measurement m =
-      measure([] { return make_protocol("ring-of-traps", 126); },
-              gen_uniform_random(), legacy);
+TEST(Runner, MatchesSerialOracle) {
+  // The oracle: trial t seeded derive_seed(master, label, t), a fresh()
+  // instance reset from a uniform random start, the accelerated engine.
+  std::vector<double> times;
+  u64 timeouts = 0;
+  u64 invalid = 0;
+  const ProtocolPtr tables = make_protocol("ring-of-traps", 126);
+  for (u64 t = 0; t < 12; ++t) {
+    Rng rng(derive_seed(4242, "compat", t));
+    ProtocolPtr p = tables->fresh();
+    p->reset(initial::uniform_random(*p, rng));
+    const RunResult r = run_accelerated(*p, rng, RunOptions{});
+    times.push_back(r.parallel_time);
+    if (!r.silent) {
+      ++timeouts;
+    } else if (!r.valid) {
+      ++invalid;
+    }
+  }
 
   TrialSpec spec = ring_spec();
   spec.label = "compat";
@@ -185,12 +196,12 @@ TEST(Runner, MatchesLegacySerialMeasure) {
   opt.master_seed = 4242;
   const TrialSet set = run_trials(spec, opt);
 
-  ASSERT_EQ(set.records.size(), m.parallel_times.size());
-  for (size_t i = 0; i < m.parallel_times.size(); ++i) {
-    EXPECT_EQ(set.records[i].parallel_time, m.parallel_times[i]) << i;
+  ASSERT_EQ(set.records.size(), times.size());
+  for (size_t i = 0; i < times.size(); ++i) {
+    EXPECT_EQ(set.records[i].parallel_time, times[i]) << i;
   }
-  EXPECT_EQ(set.stats.timeouts, m.timeouts);
-  EXPECT_EQ(set.stats.invalid, m.invalid);
+  EXPECT_EQ(set.stats.timeouts, timeouts);
+  EXPECT_EQ(set.stats.invalid, invalid);
 }
 
 TEST(Runner, TimeoutsAreCountedAndCensored) {

@@ -1,21 +1,14 @@
-// Tests for the sharded experiment service (src/service/): the chunk
-// model and its on-disk cache, the run_trial_ranges / run_trial_range
-// kernels, and the coordinator/worker fan-out — including the
-// load-bearing claims:
+// Tests for the chunk cache (src/service/): the chunk model and its
+// on-disk format, the pooled run_trial_ranges kernel it computes misses
+// with, and run_trials_cached — including the load-bearing claims:
 //
-//  * merged aggregates are BIT-identical to single-process run_trials()
-//    for cached cold and warm runs on pools of 1, 2, 4 and 8 threads and
-//    at 1, 2 and 4 workers (records, stats, counters, and the sink rows
-//    rendered from them);
-//  * a repeated sweep is 100% cache hits and spawns no workers;
-//  * a worker killed mid-sweep (crash injection) still yields identical
-//    results: its lease expires, the chunk is reassigned, and the
-//    respawned worker re-registers through NodeStatus::kRecovering;
-//  * non-replayable specs fall back in-process, reported.
-//
-// This binary has a custom main: the coordinator re-execs the test
-// executable itself as its worker shards, so worker-mode argv must be
-// routed to service::maybe_run_worker before InitGoogleTest.
+//  * merged aggregates are BIT-identical to run_trials() for cached cold
+//    and warm runs on pools of 1, 2, 4 and 8 threads (records, stats,
+//    counters, and the sink rows rendered from them);
+//  * a repeated sweep is 100% cache hits;
+//  * a truncated, torn or altered chunk file is never served: it reads
+//    kStale and is recomputed to the uncached records;
+//  * non-replayable specs fall back to the plain runner, reported.
 #include "service/coordinator.hpp"
 
 #include <gtest/gtest.h>
@@ -25,6 +18,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -38,7 +32,6 @@
 #include "runner/runner.hpp"
 #include "runner/sink.hpp"
 #include "service/chunk.hpp"
-#include "service/worker.hpp"
 
 namespace pp {
 namespace {
@@ -120,7 +113,7 @@ void expect_sets_identical(const TrialSet& a, const TrialSet& b) {
 }
 
 /// Renders the trial rows (CSV + JSONL) of a set: fully deterministic, so
-/// the sharded service must reproduce them byte for byte.
+/// the chunk cache must reproduce them byte for byte.
 std::string render_trial_rows(const TrialSpec& spec, const TrialSet& set) {
   std::ostringstream csv, jsonl;
   CsvSink c(csv);
@@ -142,7 +135,16 @@ std::string render_aggregate_rows(const TrialSpec& spec, TrialSet set) {
   return csv.str() + jsonl.str();
 }
 
-// ---- run_trial_range -----------------------------------------------------
+// Trials [begin, end) of `spec` as a single range on a 1-thread pool: the
+// serial reference the pooled and cached passes are compared against.
+TrialRange serial_range(const TrialSpec& spec, u64 master_seed, u64 begin,
+                        u64 end) {
+  ThreadPool one(1);
+  return std::move(
+      run_trial_ranges(spec, master_seed, {{begin, end}}, one).front());
+}
+
+// ---- run_trial_ranges ----------------------------------------------------
 
 TEST(TrialRange, PartitionReproducesRunTrials) {
   const TrialSpec spec = small_spec("svc-range");
@@ -154,7 +156,7 @@ TEST(TrialRange, PartitionReproducesRunTrials) {
   obs::CounterBlock counters;
   for (const auto& [b, e] :
        std::vector<std::pair<u64, u64>>{{0, 5}, {5, 6}, {6, 6}, {6, 17}}) {
-    const TrialRange r = run_trial_range(spec, opt.master_seed, b, e);
+    const TrialRange r = serial_range(spec, opt.master_seed, b, e);
     EXPECT_EQ(r.records.size(), e - b);
     stitched.insert(stitched.end(), r.records.begin(), r.records.end());
     counters.merge(r.counters);
@@ -164,16 +166,10 @@ TEST(TrialRange, PartitionReproducesRunTrials) {
       obs::CounterBlock::deterministic_equal(whole.counters, counters));
 }
 
-TEST(TrialRange, AfterTrialHookFiresPerTrial) {
-  const TrialSpec spec = small_spec("svc-hook");
-  std::vector<u64> seen;
-  run_trial_range(spec, 7, 3, 8, [&](u64 t) { seen.push_back(t); });
-  EXPECT_EQ(seen, (std::vector<u64>{3, 4, 5, 6, 7}));
-}
-
-// The pooled kernel computes each range exactly as the serial one does —
-// records and counters — for random partitions (empty ranges included),
-// non-contiguous subsets, any pool size, and a shared churn scheduler.
+// A many-range pass computes each range exactly as a single-range pass on
+// one thread does — records and counters — for random partitions (empty
+// ranges included), non-contiguous subsets, any pool size, and a shared
+// churn scheduler.
 TEST(TrialRanges, MatchSerialRangePerRange) {
   TrialSpec churn;
   churn.label = "svc-ranges-churn";
@@ -208,7 +204,7 @@ TEST(TrialRanges, MatchSerialRangePerRange) {
         ASSERT_EQ(pooled.size(), ranges.size());
         for (u64 i = 0; i < ranges.size(); ++i) {
           const auto [b, e] = ranges[i];
-          const TrialRange serial = run_trial_range(spec, seed, b, e);
+          const TrialRange serial = serial_range(spec, seed, b, e);
           EXPECT_EQ(pooled[i].begin, b);
           EXPECT_EQ(pooled[i].end, e);
           expect_records_identical(serial.records, pooled[i].records);
@@ -244,7 +240,8 @@ TEST(ChunkCache, PartitionCoversTrialSpace) {
     expect_begin = chunks[i].end;
   }
   EXPECT_EQ(chunks.back().end, 17u);
-  // Chunk sizing never depends on worker count (cache-sharing contract).
+  // Chunk sizing depends on the trial count alone (cache-sharing
+  // contract).
   EXPECT_GE(service::default_chunk_trials(1), 1u);
   EXPECT_EQ(service::default_chunk_trials(160), 10u);
 }
@@ -260,7 +257,7 @@ TEST(ChunkCache, HitMissStale) {
             service::CacheProbe::kMiss);
 
   // Hit: store, load, records round-trip exactly.
-  const TrialRange range = run_trial_range(spec, 99, 0, 4);
+  const TrialRange range = serial_range(spec, 99, 0, 4);
   ASSERT_NE(service::store_chunk(dir, material, chunk, range), "");
   service::ChunkLoad load = service::load_chunk(dir, material, chunk);
   ASSERT_EQ(load.status, service::CacheProbe::kHit);
@@ -281,7 +278,7 @@ TEST(ChunkCache, HitMissStale) {
 
   // Stale: a torn/corrupt file at the keyed path fails verification.
   write_file_atomic(dir + "/" + service::chunk_file_name(material),
-                    "poprank-chunk-v1\nkey " + material + "\ntorn");
+                    "poprank-chunk-v2\nkey " + material + "\ntorn");
   EXPECT_EQ(service::load_chunk(dir, material, chunk).status,
             service::CacheProbe::kStale);
 }
@@ -293,7 +290,7 @@ TEST(ChunkCache, ConcurrentStoresOfOneChunk) {
   const TrialSpec spec = small_spec("svc-concurrent");
   const service::ChunkSpec chunk{0, 0, 6};
   const std::string material = service::chunk_key_material(spec, 5, chunk);
-  const TrialRange range = run_trial_range(spec, 5, 0, 6);
+  const TrialRange range = serial_range(spec, 5, 0, 6);
   const std::string final_path =
       dir + "/" + service::chunk_file_name(material);
 
@@ -359,278 +356,225 @@ TEST(ChunkCache, BehaviourFingerprintIsStableAcrossCallsAndThreads) {
   }
 
   // A cache filled from a 1-thread pool is all hits from a 4-thread one.
-  service::ServiceOptions sopt;
-  sopt.cache_dir = fresh_dir("svcfp");
-  sopt.chunk_trials = 4;
-  const RunnerOptions opt = small_options(12);
+  const std::string cache_dir = fresh_dir("svcfp");
+  const RunnerOptions opt = small_options(3);  // 3 chunks of one trial
   service::ServiceReport rep;
   ThreadPool one(1), four(4);
-  const TrialSet cold = run_trials_sharded(spec, opt, sopt, one, &rep);
+  const TrialSet cold =
+      service::run_trials_cached(spec, opt, cache_dir, one, &rep);
   EXPECT_EQ(rep.cache_misses, 3u);
-  const TrialSet warm = run_trials_sharded(spec, opt, sopt, four, &rep);
+  const TrialSet warm =
+      service::run_trials_cached(spec, opt, cache_dir, four, &rep);
   EXPECT_EQ(rep.cache_hits, 3u);
   EXPECT_EQ(rep.cache_misses, 0u);
   expect_sets_identical(cold, warm);
 }
 
-// A cache filled by code that predates the fingerprint (key material in
-// the format=1 layout) must read as all misses — never as hits carrying
-// that code's answers — and the pass that recomputes the misses must give
-// exactly the uncached records.
-TEST(ChunkCache, PreFingerprintKeysMissAndRecompute) {
+// A cache filled by older code — key material in the pre-fingerprint
+// format=1 layout, or in the format=2 layout of the files written before
+// chunk files carried a checksum — must read as all misses, never as hits
+// carrying that code's answers, and the pass that recomputes the misses
+// must give exactly the uncached records.
+TEST(ChunkCache, OlderFormatKeysMissAndRecompute) {
   const TrialSpec spec = churn_spec("svc-old-format", 30);
-  const RunnerOptions opt = small_options(12);
+  const RunnerOptions opt = small_options(3);  // 3 chunks of one trial
   const TrialSet base = run_trials(spec, opt);
 
-  service::ServiceOptions sopt;
-  sopt.cache_dir = fresh_dir("svcold");
-  sopt.chunk_trials = 4;
-  const std::string chunks_dir = sopt.cache_dir + "/chunks";
+  const std::string cache_dir = fresh_dir("svcold");
+  const std::string chunks_dir = cache_dir + "/chunks";
   make_dirs(chunks_dir);
-  for (const service::ChunkSpec& chunk : service::chunk_ranges(12, 4)) {
-    const std::string old_material =
+  char fingerprint[24];
+  std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
+                static_cast<unsigned long long>(
+                    service::behaviour_fingerprint(spec)));
+  for (const service::ChunkSpec& chunk :
+       service::chunk_ranges(3, service::default_chunk_trials(3))) {
+    const std::string prefix =
         obs::spec_to_kv(spec) + "master_seed=" +
         std::to_string(opt.master_seed) + ";chunk=" +
-        std::to_string(chunk.begin) + "-" + std::to_string(chunk.end) +
-        ";format=1;";
+        std::to_string(chunk.begin) + "-" + std::to_string(chunk.end) + ";";
     const std::string material =
         service::chunk_key_material(spec, opt.master_seed, chunk);
-    EXPECT_NE(service::chunk_file_name(old_material),
-              service::chunk_file_name(material));
-    // Old code's answers: well-formed records that differ from today's.
-    TrialRange range =
-        run_trial_range(spec, opt.master_seed, chunk.begin, chunk.end);
-    for (TrialRecord& r : range.records) ++r.fault_events;
-    ASSERT_NE(service::store_chunk(chunks_dir, old_material, chunk, range),
-              "");
+    for (const std::string& old_material :
+         {prefix + "format=1;",
+          prefix + "fingerprint=" + fingerprint + ";format=2;"}) {
+      EXPECT_NE(service::chunk_file_name(old_material),
+                service::chunk_file_name(material));
+      // Old code's answers: well-formed records that differ from today's.
+      TrialRange range =
+          serial_range(spec, opt.master_seed, chunk.begin, chunk.end);
+      for (TrialRecord& r : range.records) ++r.fault_events;
+      ASSERT_NE(service::store_chunk(chunks_dir, old_material, chunk, range),
+                "");
+    }
   }
 
   ThreadPool pool(2);
   service::ServiceReport rep;
-  const TrialSet cold = run_trials_sharded(spec, opt, sopt, pool, &rep);
+  const TrialSet cold =
+      service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
   EXPECT_EQ(rep.chunks, 3u);
   EXPECT_EQ(rep.cache_hits, 0u);
   EXPECT_EQ(rep.cache_stale, 0u);
   EXPECT_EQ(rep.cache_misses, 3u);
   expect_sets_identical(base, cold);
 
-  const TrialSet warm = run_trials_sharded(spec, opt, sopt, pool, &rep);
+  const TrialSet warm =
+      service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
   EXPECT_EQ(rep.cache_hits, 3u);
   expect_sets_identical(base, warm);
 }
 
-// ---- sharded runs: bit identity ------------------------------------------
+// The checksum line guards every byte: a chunk file cut at any offset, or
+// with any one byte altered, reads kStale — never a hit serving altered
+// records — and the rerun recomputes exactly the uncached records.
+TEST(ChunkCache, TruncatedOrFlippedChunkIsStale) {
+  const TrialSpec spec = small_spec("svc-checksum");
+  const RunnerOptions opt = small_options(3);  // 3 chunks of one trial
+  const TrialSet base = run_trials(spec, opt);
+  const std::string cache_dir = fresh_dir("svcsum");
+  ThreadPool pool(2);
+  service::run_trials_cached(spec, opt, cache_dir, pool);
 
-TEST(Service, InProcessShardingBitIdenticalAndCached) {
-  const TrialSpec spec = small_spec("svc-shard0");
-  const RunnerOptions opt = small_options(24);
+  const std::string chunks_dir = cache_dir + "/chunks";
+  const service::ChunkSpec chunk{0, 0, 1};
+  const std::string material =
+      service::chunk_key_material(spec, opt.master_seed, chunk);
+  const std::string path =
+      chunks_dir + "/" + service::chunk_file_name(material);
+  const std::string good = read_file(path).value_or("");
+  const auto probe = [&](const std::string& bytes) {
+    EXPECT_TRUE(write_file_atomic(path, bytes));
+    return service::load_chunk(chunks_dir, material, chunk).status;
+  };
+  ASSERT_EQ(probe(good), service::CacheProbe::kHit);
+  for (u64 len = 0; len < good.size(); ++len) {
+    EXPECT_EQ(probe(good.substr(0, len)), service::CacheProbe::kStale)
+        << "truncated at " << len;
+  }
+  for (u64 i = 0; i < good.size(); ++i) {
+    for (const char mask : {'\x01', '\x20', '\xff'}) {
+      std::string bad = good;
+      bad[i] = static_cast<char>(bad[i] ^ mask);
+      EXPECT_EQ(probe(bad), service::CacheProbe::kStale)
+          << "byte " << i << " ^ " << static_cast<int>(mask);
+    }
+  }
+
+  // A well-formed edit of one record (its interaction count) is served by
+  // no rerun: the rerun recomputes that chunk and stores it whole again.
+  const u64 field = good.find("\ntrial 0 ");
+  ASSERT_NE(field, std::string::npos);
+  std::istringstream line(good.substr(field + 1));
+  std::string tag;
+  u64 trial = 0, seed = 0, interactions = 0;
+  line >> tag >> trial >> seed >> interactions;
+  const std::string before = "trial 0 " + std::to_string(seed) + " " +
+                             std::to_string(interactions) + " ";
+  std::string edited = good;
+  edited.replace(field + 1, before.size(),
+                 "trial 0 " + std::to_string(seed) + " " +
+                     std::to_string(9 * interactions) + " ");
+  ASSERT_EQ(probe(edited), service::CacheProbe::kStale);
+  service::ServiceReport rep;
+  const TrialSet rerun =
+      service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
+  EXPECT_EQ(rep.cache_stale, 1u);
+  EXPECT_EQ(rep.cache_hits, 2u);
+  expect_sets_identical(base, rerun);
+  EXPECT_EQ(service::load_chunk(chunks_dir, material, chunk).status,
+            service::CacheProbe::kHit);
+}
+
+// ---- cached runs: bit identity -------------------------------------------
+
+TEST(Service, CachedRunsBitIdenticalOnAnyPool) {
+  const TrialSpec spec = small_spec("svc-cached");
+  const RunnerOptions opt = small_options(24);  // 12 chunks of two trials
   const TrialSet base = run_trials(spec, opt);
   const std::string base_trials = render_trial_rows(spec, base);
   const std::string base_aggregate = render_aggregate_rows(spec, base);
 
   for (const u64 threads : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(threads);
-    service::ServiceOptions sopt;
-    sopt.workers = 0;
-    sopt.cache_dir = fresh_dir("svc0t" + std::to_string(threads));
-    sopt.chunk_trials = 5;
+    const std::string cache_dir = fresh_dir("svc0t" + std::to_string(threads));
 
     // Cold: every chunk misses and is computed on the pool.
     service::ServiceReport rep;
-    const TrialSet cold = run_trials_sharded(spec, opt, sopt, pool, &rep);
+    const TrialSet cold =
+        service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
     expect_sets_identical(base, cold);
     EXPECT_EQ(base_trials, render_trial_rows(spec, cold)) << threads;
     EXPECT_EQ(base_aggregate, render_aggregate_rows(spec, cold)) << threads;
     EXPECT_EQ(cold.threads, pool.size());
-    EXPECT_EQ(rep.chunks, 5u);
-    EXPECT_EQ(rep.cache_misses, 5u);
+    EXPECT_EQ(rep.chunks, 12u);
+    EXPECT_EQ(rep.cache_misses, 12u);
     EXPECT_EQ(rep.cache_hits, 0u);
-    EXPECT_EQ(rep.inprocess_chunks, 5u);
-    EXPECT_EQ(rep.workers_spawned, 0u);
+    EXPECT_EQ(rep.inprocess_chunks, 12u);
 
     // Second invocation: pure cache, zero computation, same bits.
-    const TrialSet warm = run_trials_sharded(spec, opt, sopt, pool, &rep);
+    const TrialSet warm =
+        service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
     expect_sets_identical(base, warm);
     EXPECT_EQ(base_trials, render_trial_rows(spec, warm)) << threads;
     EXPECT_EQ(base_aggregate, render_aggregate_rows(spec, warm)) << threads;
-    EXPECT_EQ(rep.cache_hits, 5u);
+    EXPECT_EQ(rep.cache_hits, 12u);
     EXPECT_EQ(rep.cache_misses, 0u);
     EXPECT_EQ(rep.inprocess_chunks, 0u);
 
     // A different master seed keys different chunks: misses again.
     const RunnerOptions reseeded = small_options(24, 777);
-    run_trials_sharded(spec, reseeded, sopt, pool, &rep);
-    EXPECT_EQ(rep.cache_misses, 5u);
+    service::run_trials_cached(spec, reseeded, cache_dir, pool, &rep);
+    EXPECT_EQ(rep.cache_misses, 12u);
   }
 }
 
-TEST(Service, WorkerShardingBitIdenticalAt1_2_4Workers) {
-  const TrialSpec spec = small_spec("svc-fleet");
-  const RunnerOptions opt = small_options(24);
-  const TrialSet base = run_trials(spec, opt);
-  const std::string base_trials = render_trial_rows(spec, base);
-  const std::string base_aggregate = render_aggregate_rows(spec, base);
-
-  for (const u64 workers : {1u, 2u, 4u}) {
-    service::ServiceOptions sopt;
-    sopt.workers = workers;
-    sopt.cache_dir = fresh_dir("svcw" + std::to_string(workers));
-    sopt.chunk_trials = 4;
-
-    ThreadPool pool(2);
-    service::ServiceReport rep;
-    const TrialSet sharded = run_trials_sharded(spec, opt, sopt, pool, &rep);
-    expect_sets_identical(base, sharded);
-    EXPECT_GE(rep.workers_spawned, 1u) << workers;
-    EXPECT_EQ(sharded.threads, workers);
-
-    // Sink rows: trial rows byte-identical as-is; aggregate rows
-    // byte-identical once the documented wall-clock fields are
-    // normalized out.
-    EXPECT_EQ(base_trials, render_trial_rows(spec, sharded)) << workers;
-    EXPECT_EQ(base_aggregate, render_aggregate_rows(spec, sharded))
-        << workers;
-  }
-}
-
-TEST(Service, SecondInvocationIsAllHitsNoWorkers) {
+TEST(Service, SecondInvocationIsAllHits) {
   const TrialSpec spec = small_spec("svc-rerun");
-  const RunnerOptions opt = small_options(20);
-
-  service::ServiceOptions sopt;
-  sopt.workers = 2;
-  sopt.cache_dir = fresh_dir("svcrerun");
-  sopt.chunk_trials = 5;
+  const RunnerOptions opt = small_options(20);  // 10 chunks of two trials
+  const std::string cache_dir = fresh_dir("svcrerun");
 
   ThreadPool pool(2);
   service::ServiceReport rep;
-  const TrialSet first = run_trials_sharded(spec, opt, sopt, pool, &rep);
-  EXPECT_EQ(rep.cache_misses, 4u);
+  const TrialSet first =
+      service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
+  EXPECT_EQ(rep.cache_misses, 10u);
 
-  const TrialSet second = run_trials_sharded(spec, opt, sopt, pool, &rep);
+  const TrialSet second =
+      service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
   expect_sets_identical(first, second);
-  EXPECT_EQ(rep.cache_hits, 4u);
+  EXPECT_EQ(rep.cache_hits, 10u);
   EXPECT_EQ(rep.cache_misses, 0u);
-  EXPECT_EQ(rep.workers_spawned, 0u);  // nothing left to fan out
+  EXPECT_EQ(rep.inprocess_chunks, 0u);
 }
 
 TEST(Service, StaleChunkIsRecomputed) {
   const TrialSpec spec = small_spec("svc-stale");
-  const RunnerOptions opt = small_options(20);
-
-  service::ServiceOptions sopt;
-  sopt.workers = 0;
-  sopt.cache_dir = fresh_dir("svcstale");
-  sopt.chunk_trials = 5;
+  const RunnerOptions opt = small_options(20);  // 10 chunks of two trials
+  const std::string cache_dir = fresh_dir("svcstale");
 
   // The recompute runs over a multi-thread pool.
   ThreadPool pool(4);
   service::ServiceReport rep;
-  const TrialSet first = run_trials_sharded(spec, opt, sopt, pool, &rep);
+  const TrialSet first =
+      service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
 
   // Corrupt one cached chunk in place (a torn write).
-  const std::string chunks_dir = sopt.cache_dir + "/chunks";
+  const std::string chunks_dir = cache_dir + "/chunks";
   const std::vector<std::string> files = list_dir(chunks_dir);
-  ASSERT_EQ(files.size(), 4u);
-  write_file_atomic(chunks_dir + "/" + files[0], "poprank-chunk-v1\ntorn");
+  ASSERT_EQ(files.size(), 10u);
+  write_file_atomic(chunks_dir + "/" + files[0], "poprank-chunk-v2\ntorn");
 
-  const TrialSet second = run_trials_sharded(spec, opt, sopt, pool, &rep);
+  const TrialSet second =
+      service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
   expect_sets_identical(first, second);
   EXPECT_EQ(rep.cache_stale, 1u);
-  EXPECT_EQ(rep.cache_hits, 3u);
+  EXPECT_EQ(rep.cache_hits, 9u);
   EXPECT_EQ(rep.inprocess_chunks, 1u);
 }
 
-// ---- failure handling ----------------------------------------------------
-
-TEST(Service, CrashedWorkerLeaseExpiresAndRejoinsRecovering) {
-  const TrialSpec spec = small_spec("svc-crash");
-  const RunnerOptions opt = small_options(24);
-  const TrialSet base = run_trials(spec, opt);
-
-  service::ServiceOptions sopt;
-  sopt.workers = 2;
-  sopt.cache_dir = fresh_dir("svccrash");
-  sopt.chunk_trials = 3;
-  sopt.lease_timeout_ms = 300;  // fast expiry keeps the test snappy
-
-  // Worker 0 hard-exits right after claiming its first chunk (once; the
-  // marker file stops the respawned incarnation from crash-looping).
-  ASSERT_EQ(setenv("POPRANK_SERVICE_CRASH_AFTER", "1", 1), 0);
-  ThreadPool pool(2);
-  service::ServiceReport rep;
-  const TrialSet sharded = run_trials_sharded(spec, opt, sopt, pool, &rep);
-  ASSERT_EQ(unsetenv("POPRANK_SERVICE_CRASH_AFTER"), 0);
-
-  // The kill cost nothing but time: bits identical, the orphaned lease
-  // was expired and its chunk reassigned, the dead worker was respawned.
-  expect_sets_identical(base, sharded);
-  EXPECT_GE(rep.leases_expired, 1u);
-  EXPECT_GE(rep.workers_respawned, 1u);
-
-  // The respawned incarnation re-registered through the recovery state.
-  const std::vector<std::string> jobs = list_dir(sopt.cache_dir + "/jobs");
-  ASSERT_EQ(jobs.size(), 1u);
-  const std::string status =
-      read_file(sopt.cache_dir + "/jobs/" + jobs[0] + "/workers/w0.status")
-          .value_or("");
-  EXPECT_NE(status.find("joining"), std::string::npos) << status;
-  EXPECT_NE(status.find("recovering"), std::string::npos) << status;
-  EXPECT_NE(status.find("offline"), std::string::npos) << status;
-}
-
-TEST(Service, DeadFleetFinishesOnThePool) {
-  const TrialSpec spec = small_spec("svc-failsafe");
-  const RunnerOptions opt = small_options(24);
-  const TrialSet base = run_trials(spec, opt);
-
-  service::ServiceOptions sopt;
-  sopt.workers = 1;
-  sopt.cache_dir = fresh_dir("svcfailsafe");
-  sopt.chunk_trials = 3;
-  sopt.max_respawns = 0;  // the one worker's crash ends the fleet
-
-  ASSERT_EQ(setenv("POPRANK_SERVICE_CRASH_AFTER", "1", 1), 0);
-  ThreadPool pool(4);
-  service::ServiceReport rep;
-  const TrialSet sharded = run_trials_sharded(spec, opt, sopt, pool, &rep);
-  ASSERT_EQ(unsetenv("POPRANK_SERVICE_CRASH_AFTER"), 0);
-
-  // The fail-safe computed the leftovers on the pool: same bits.
-  expect_sets_identical(base, sharded);
-  EXPECT_EQ(rep.workers_respawned, 0u);
-  EXPECT_GE(rep.inprocess_chunks, 1u);
-  EXPECT_EQ(sharded.threads, sopt.workers);
-}
-
-TEST(Service, WorkerStatusLifecycle) {
-  const TrialSpec spec = small_spec("svc-status");
-  const RunnerOptions opt = small_options(8);
-
-  service::ServiceOptions sopt;
-  sopt.workers = 1;
-  sopt.cache_dir = fresh_dir("svcstatus");
-  sopt.chunk_trials = 4;
-
-  ThreadPool pool(1);
-  run_trials_sharded(spec, opt, sopt, pool);
-  const std::vector<std::string> jobs = list_dir(sopt.cache_dir + "/jobs");
-  ASSERT_EQ(jobs.size(), 1u);
-  const std::string status =
-      read_file(sopt.cache_dir + "/jobs/" + jobs[0] + "/workers/w0.status")
-          .value_or("");
-  // Clean lifecycle: joining -> online -> offline, in that order.
-  const auto joining = status.find("joining");
-  const auto online = status.find("online");
-  const auto offline = status.find("offline");
-  ASSERT_NE(joining, std::string::npos) << status;
-  ASSERT_NE(online, std::string::npos) << status;
-  ASSERT_NE(offline, std::string::npos) << status;
-  EXPECT_LT(joining, online);
-  EXPECT_LT(online, offline);
-  EXPECT_EQ(status.find("recovering"), std::string::npos) << status;
-}
-
+// A spec with no canonical serialisation has no cache key: it runs on the
+// plain runner, on the caller's pool, and says so.
 TEST(Service, NonReplayableSpecFallsBackInProcess) {
   TrialSpec spec;
   spec.label = "svc-fallback";
@@ -638,27 +582,15 @@ TEST(Service, NonReplayableSpecFallsBackInProcess) {
   const RunnerOptions opt = small_options(6);
   const TrialSet base = run_trials(spec, opt);
 
-  service::ServiceOptions sopt;
-  sopt.workers = 2;
-  sopt.cache_dir = fresh_dir("svcfb");
-
   ThreadPool pool(3);
   service::ServiceReport rep;
-  const TrialSet fell_back = run_trials_sharded(spec, opt, sopt, pool, &rep);
+  const TrialSet fell_back =
+      service::run_trials_cached(spec, opt, fresh_dir("svcfb"), pool, &rep);
   expect_records_identical(base.records, fell_back.records);
   EXPECT_EQ(fell_back.threads, pool.size());
   EXPECT_TRUE(rep.fallback_in_process);
-  EXPECT_EQ(rep.workers_spawned, 0u);
   EXPECT_EQ(rep.chunks, 0u);
 }
 
 }  // namespace
 }  // namespace pp
-
-int main(int argc, char** argv) {
-  // Worker shards are this same binary, re-exec'd by the coordinator:
-  // route worker-mode argv to the worker loop before gtest sees it.
-  pp::service::maybe_run_worker(argc, argv);
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}
