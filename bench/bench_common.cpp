@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/checked_math.hpp"
 #include "protocols/factory.hpp"
 #include "service/coordinator.hpp"
 
@@ -128,12 +129,13 @@ RunnerOptions runner_options(const Context& ctx, u64 trials) {
 void run_scale_section(
     const Context& ctx, const std::string& title,
     const std::string& label_prefix, const std::string& protocol,
-    const std::vector<u64>& sizes,
+    const std::vector<u64>& sizes, u64 parallel_time,
     const std::function<std::vector<SchedulerSpec>(u64)>& menu) {
   if (sizes.empty()) return;
   const u64 trials = ctx.trials_or(ctx.quick() ? 2 : 3);
-  Table t(title + ", " + protocol + ", parallel-time budget 5 (" +
-          std::to_string(trials) + " trials/point)");
+  Table t(title + ", " + protocol + ", parallel-time budget " +
+          std::to_string(parallel_time) + " (" + std::to_string(trials) +
+          " trials/point)");
   t.headers({"scheduler", "n", "interactions", "prod. steps", "trials/s",
              "wall s"});
   for (const u64 raw_n : sizes) {
@@ -151,7 +153,7 @@ void run_scale_section(
       spec.protocol = protocol;
       spec.n = n;
       spec.init = gen_uniform_random();
-      spec.max_interactions = 5 * n;
+      spec.max_interactions = checked_mul(parallel_time, n);
       spec.engine = EngineKind::kScheduled;
       spec.scheduler = sched;
       const TrialSet set =

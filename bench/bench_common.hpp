@@ -79,8 +79,9 @@ std::vector<u64> capped_sizes(const Context& ctx, std::vector<u64> sizes);
 /// n in `sizes` (already capped by the caller, then rounded to the
 /// protocol's preferred population), runs every scheduler `menu(n)`
 /// returns over the registry protocol `protocol` under a parallel-time
-/// budget of 5 — budget-capped throughput points, not stabilisation (AG
-/// needs ~n² parallel time) — and emits one table row plus one BENCH
+/// budget of `parallel_time` (max_interactions = parallel_time · n) —
+/// budget-capped throughput points, not stabilisation (AG needs ~n²
+/// parallel time) — and emits one table row plus one BENCH
 /// record per point, labelled "<label_prefix><scheduler name>".  No-op
 /// when `sizes` is empty.  The label prefix is load-bearing: the figure
 /// script routes "s1-scale-..." records to the throughput panel, and
@@ -88,7 +89,7 @@ std::vector<u64> capped_sizes(const Context& ctx, std::vector<u64> sizes);
 void run_scale_section(
     const Context& ctx, const std::string& title,
     const std::string& label_prefix, const std::string& protocol,
-    const std::vector<u64>& sizes,
+    const std::vector<u64>& sizes, u64 parallel_time,
     const std::function<std::vector<SchedulerSpec>(u64)>& menu);
 
 /// Parses flags/environment, prints the experiment banner and truncates

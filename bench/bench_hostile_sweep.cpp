@@ -122,7 +122,7 @@ int run(const Context& ctx) {
   // ---- scale section: hostile + dynamic models at 10^4 .. 10^5 ----------
   run_scale_section(
       ctx, "S2 scale — hostile-model throughput", "s2-scale-ag-", "ag",
-      capped_sizes(ctx, {10000, 100000}), [](u64 n) {
+      capped_sizes(ctx, {10000, 100000}), 5, [](u64 n) {
         std::vector<SchedulerSpec> menu;
         SchedulerSpec s;
         // Churn fault events cost O(k log n) through the protocol's

@@ -60,12 +60,10 @@
 // window and the weighted[trap-decay] state-distance kernel, so the
 // dense-only cap they used to carry is gone.
 //
-// A third, "s3-scale-..." section does the same for the count-vector and
-// hybrid engines at n ∈ {10^6, 10^7, 10^8} — the count engine's
-// O(states)-per-event loop makes per-interaction cost independent of n,
-// so these points extend the paper's own uniform model far past what any
-// agent-level representation can hold, with accelerated-uniform as the
-// agent-level reference row at every size the cap admits.
+// A third, "s3-scale-..." section runs the paper's own uniform model on
+// the accelerated engine at n ∈ {10^6, 10^7, 10^8}: its per-event cost is
+// O(log states), independent of n, and a parallel-time budget of 2·10^4
+// gives each trial ~2·10^4 productive events.
 //
 // The adversarial schedulers are deliberately absent here (O(states^2) per
 // step makes them a small-n tool); bench_adversarial drives them through
@@ -140,7 +138,7 @@ int run(const Context& ctx) {
   // ---- scale section: the hierarchical sampler at 10^4 .. 10^5 ----------
   run_scale_section(
       ctx, "S1 scale — hierarchical sampler throughput", "s1-scale-ag-", "ag",
-      capped_sizes(ctx, {10000, 100000}), [](u64 n) {
+      capped_sizes(ctx, {10000, 100000}), 5, [](u64 n) {
         std::vector<SchedulerSpec> menu;
         SchedulerSpec s;
         s.kind = SchedulerKind::kAcceleratedUniform;  // reference row
@@ -175,7 +173,7 @@ int run(const Context& ctx) {
     run_scale_section(
         ctx, "S1 scale — extra-state protocol throughput",
         std::string("s1-scale-") + proto + "-", proto,
-        capped_sizes(ctx, {10000, 100000}), [](u64 n) {
+        capped_sizes(ctx, {10000, 100000}), 5, [](u64 n) {
           std::vector<SchedulerSpec> menu;
           SchedulerSpec s;
           s.kind = SchedulerKind::kWeighted;
@@ -193,30 +191,21 @@ int run(const Context& ctx) {
         });
   }
 
-  // ---- s3 scale section: the count/hybrid engines at 10^6 .. 10^8 --------
-  // Where the agent-level samplers top out (the s1 scale section is O(n)
-  // memory and O(1)-per-event but still walks every agent), the
-  // count-vector engine is O(states) per event with n only in the null
-  // budget — so these points push the paper's model itself two to three
-  // orders of magnitude further.  accelerated-uniform rides along as the
-  // agent-level reference at every size the cap admits; count and hybrid
-  // must track its throughput shape while staying bit-identical in
-  // trajectory (tests/test_count_engine.cpp).  Budget-capped throughput
-  // points like s1-scale (AG stabilisation at n = 10^8 needs ~10^16
-  // interactions); CI runs Release with --max-n=10^7, the 10^8 point is
-  // for full local runs.
+  // ---- s3 scale section: the paper's model at 10^6 .. 10^8 --------------
+  // The accelerated engine keeps no per-agent state: the protocol's count
+  // tree is the configuration, and an event costs O(log states) whatever
+  // n is.  From a uniform start AG's productive weight is ~n, so each unit
+  // of parallel time yields about one event; a budget of 2·10^4 gives
+  // ~2·10^4 events per trial (from 10^7 up the per-trial set-up still
+  // dominates the wall time).  Budget-capped throughput points like
+  // s1-scale (AG stabilisation at n = 10^8 needs ~10^16 interactions); CI
+  // runs Release with --max-n=10^7, the 10^8 point is for full local runs.
   run_scale_section(
-      ctx, "S3 scale — count-vector engine throughput", "s3-scale-ag-", "ag",
-      capped_sizes(ctx, {1000000, 10000000, 100000000}), [](u64) {
-        std::vector<SchedulerSpec> menu;
+      ctx, "S3 scale — accelerated engine throughput", "s3-scale-ag-", "ag",
+      capped_sizes(ctx, {1000000, 10000000, 100000000}), 20000, [](u64) {
         SchedulerSpec s;
-        s.kind = SchedulerKind::kAcceleratedUniform;  // agent-level reference
-        menu.push_back(s);
-        s.kind = SchedulerKind::kCountGillespie;
-        menu.push_back(s);
-        s.kind = SchedulerKind::kHybrid;
-        menu.push_back(s);
-        return menu;
+        s.kind = SchedulerKind::kAcceleratedUniform;
+        return std::vector<SchedulerSpec>{s};
       });
 
   std::printf(

@@ -141,18 +141,6 @@ class Protocol {
   /// to is_silent(); tests assert the equivalence rather than assuming it.
   bool is_valid_ranking() const;
 
-  /// Capability flag for the count-vector engine (core/count_engine.hpp):
-  /// true iff δ ignores agent identity entirely — the dynamics are a pure
-  /// function of the state-count vector.  Concretely the protocol promises
-  /// (a) it has no extra states, and (b) every productive rule is a
-  /// same-state rank rule (s,s) -> (s',s'') — δ(s,t) is null for s != t —
-  /// so the productive ordered pairs of a configuration are exactly the
-  /// c_s(c_s - 1) diagonal pairs.  ag and ring-of-traps qualify; protocols
-  /// with extra-state machinery (line/tree) must keep the default false.
-  /// CountEngine cross-checks the promise against transition() at
-  /// construction.
-  virtual bool is_count_determined() const { return false; }
-
   /// Capability declaration for the hierarchical pair samplers
   /// (schedulers/pair_sampler.hpp): which whole *classes* of ordered pairs
   /// involving extra-state agents are productive, independent of counts.
@@ -162,11 +150,10 @@ class Protocol {
   /// e.g. line-of-traps routes *every* agent meeting an X responder, and
   /// tree-ranking fires on *every* pair whose initiator is a buffer agent.
   /// When a class flag is set, EVERY ordered pair in that class must be
-  /// productive; when clear, every such pair must be null.  Like
-  /// is_count_determined(), this is a promise: GroupedKernelSampler
-  /// cross-checks it against transition() at construction on a bounded
-  /// probe set, so a wrong declaration fails fast instead of skewing the
-  /// sampling distribution.
+  /// productive; when clear, every such pair must be null.  This is a
+  /// promise: GroupedKernelSampler cross-checks it against transition() at
+  /// construction on a bounded probe set, so a wrong declaration fails
+  /// fast instead of skewing the sampling distribution.
   struct ExtraPairClasses {
     bool extra_extra = false;  ///< every ordered (extra, extra) pair
     bool extra_rank = false;   ///< every ordered (extra, rank) pair

@@ -70,6 +70,14 @@ void put_enum(std::string& out, std::string_view key, E v) {
   put_u(out, key, static_cast<u64>(v));
 }
 
+SchedulerKind scheduler_kind_from_name(const std::string& name) {
+  for (const SchedulerKind k : scheduler_kinds()) {
+    if (name == scheduler_kind_name(k)) return k;
+  }
+  PP_ASSERT_MSG(false, "spec_from_kv: unknown sched.kind");
+  return SchedulerKind::kAcceleratedUniform;
+}
+
 // How TrialSpec::init serialises: the runner's implicit default, the
 // named uniform-random functor (behaviourally the same draw), or an
 // opaque custom generator (recorded honestly, not replayable).
@@ -92,7 +100,9 @@ std::string spec_to_kv(const TrialSpec& spec) {
   put(out, "label", spec.label);
 
   const SchedulerSpec& s = spec.scheduler;
-  put_enum(out, "sched.kind", s.kind);
+  // By name, not enum value: a kv written before a kind was added or
+  // removed must not replay as whichever kind now holds its number.
+  put(out, "sched.kind", scheduler_kind_name(s.kind));
   put_enum(out, "sched.graph", s.graph);
   put_u(out, "sched.degree", s.degree);
   put_u(out, "sched.graph_seed", s.graph_seed);
@@ -164,7 +174,7 @@ TrialSpec spec_from_kv(const std::string& kv) {
     } else if (key == "label") {
       spec.label = val;
     } else if (key == "sched.kind") {
-      s.kind = static_cast<SchedulerKind>(as_u());
+      s.kind = scheduler_kind_from_name(val);
     } else if (key == "sched.graph") {
       s.graph = static_cast<GraphKind>(as_u());
     } else if (key == "sched.degree") {

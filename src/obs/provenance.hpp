@@ -7,7 +7,7 @@
 //   point   {"kind":"point","label":...,"n":...,"param":...,
 //            "master_seed":...,"trials":...,"threads":...,
 //            "scheduler":"churn[0.02/uniform-state]",
-//            "spec":"protocol=ag;n=64;engine=2;sched.kind=7;...",
+//            "spec":"protocol=ag;n=64;engine=2;sched.kind=churn;...",
 //            "spec_hash":"fnv1a64:...","replayable":true,
 //            "counters":{...}}
 //
@@ -55,11 +55,12 @@ BuildInfo build_info();
 u64 fnv1a64(std::string_view s);
 
 /// Canonical key=value;... serialisation of `spec` — every TrialSpec and
-/// SchedulerSpec field, enums as integers, doubles round-trip exact.
+/// SchedulerSpec field, the scheduler kind by its scheduler_kind_name(),
+/// other enums as integers, doubles round-trip exact.
 std::string spec_to_kv(const TrialSpec& spec);
 
 /// Parses spec_to_kv() output back into a TrialSpec (asserts on unknown
-/// keys or a non-replayable spec).
+/// keys, an unknown scheduler kind name or a non-replayable spec).
 TrialSpec spec_from_kv(const std::string& kv);
 
 /// True when spec_to_kv() captures everything needed to re-run `spec`:

@@ -24,9 +24,6 @@ class AgProtocol final : public Protocol {
   ProtocolPtr fresh() const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
-  /// The single rule family is diagonal (i,i) -> (i, i+1 mod n) on rank
-  /// states only — AG's dynamics are a pure function of the count vector.
-  bool is_count_determined() const override { return true; }
 };
 
 }  // namespace pp

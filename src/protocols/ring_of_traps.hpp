@@ -39,11 +39,6 @@ class RingOfTrapsProtocol final : public Protocol {
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
   std::string describe_state(StateId s) const override;
-  /// Both rule families (inner drains, gate ejections) are diagonal
-  /// (s,s) -> (s',s'') on rank states, and the protocol is state-optimal
-  /// (zero extra states) — the dynamics live on the count vector.
-  bool is_count_determined() const override { return true; }
-
   const RingLayout& layout() const { return *layout_; }
 
   /// Lemma 3 weight of the current configuration (non-increasing along

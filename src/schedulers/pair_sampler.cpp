@@ -204,10 +204,9 @@ bool GroupedKernelSampler::supports(const Protocol& p) {
 }
 
 void GroupedKernelSampler::verify_classes() const {
-  // Bounded capability cross-check, in the style of CountEngine's
-  // is_count_determined() probe: a wrong ExtraPairClasses declaration (or
-  // a backbone violation) fails fast here instead of skewing the sampled
-  // pair distribution.
+  // Bounded capability cross-check against transition(): a wrong
+  // ExtraPairClasses declaration (or a backbone violation) fails fast here
+  // instead of skewing the sampled pair distribution.
   const Protocol& p = *p_;
   const u64 num_extra = p.num_extra_states();
   const u64 rank_probe = std::min<u64>(num_ranks_, 64);

@@ -13,17 +13,6 @@
 //   accelerated-uniform  the same distribution with exact geometric
 //                        null-skipping (the former run_accelerated,
 //                        delegated to verbatim);
-//   count                the same distribution again, simulated on the
-//                        state-count vector alone (core/count_engine.hpp)
-//                        for protocols with identity-free δ — per-event
-//                        cost independent of n; non-count-determined
-//                        protocols fall back to accelerated-uniform;
-//   hybrid               count-vector bulk with a deterministic handoff to
-//                        the exact agent-level engine at end-game
-//                        starvation (core/hybrid_engine.hpp) — the
-//                        multiscale driver behind the n = 10^7..10^8 scale
-//                        sections; bit-identical to accelerated-uniform
-//                        seed-for-seed;
 //   random-matching      synchronous rounds: each round a uniformly random
 //                        maximal matching of the agents fires at once
 //                        (initiator/responder orientation a fair coin per
@@ -71,8 +60,7 @@
 //                        runs healed to silence.
 //
 // Parallel-time accounting per scheduler (RunResult::parallel_time):
-//   uniform / accelerated-uniform / count / hybrid / graph-restricted /
-//   weighted /
+//   uniform / accelerated-uniform / graph-restricted / weighted /
 //   dynamic:  interactions / n (for the dynamic models every step is one
 //             meeting slot regardless of how many edges flipped that step)
 //   random-matching:  the number of rounds (a round is one unit of
@@ -135,8 +123,6 @@ using SchedulerPtr = std::unique_ptr<Scheduler>;
 enum class SchedulerKind {
   kUniform,
   kAcceleratedUniform,
-  kCountGillespie,
-  kHybrid,
   kRandomMatching,
   kGraphRestricted,
   kWeighted,
@@ -273,16 +259,14 @@ struct SchedulerSpec {
 SchedulerPtr make_scheduler(const SchedulerSpec& spec, u64 n);
 
 /// The standard comparison menu (bench_scheduler_comparison and
-/// examples/scheduler_tour share it): accelerated-uniform, uniform, the
-/// hybrid multiscale driver (right after the exact engines it must match),
+/// examples/scheduler_tour share it): accelerated-uniform, uniform,
 /// random-matching, weighted on the uniform, ring-decay and trap-decay
 /// kernels, the hostile-environment models (churn, partition),
-/// graph-restricted on
-/// complete, random-4-regular and cycle — complete mixing first, sparsest
-/// last — and finally the headline contrast: the same cycle under
-/// edge-Markovian and periodic-rewiring dynamics.  The adversarial
-/// schedulers are excluded (O(states^2) per step makes them a small-n
-/// tool; bench_adversarial covers them).
+/// graph-restricted on complete, random-4-regular and cycle — complete
+/// mixing first, sparsest last — and finally the headline contrast: the
+/// same cycle under edge-Markovian and periodic-rewiring dynamics.  The
+/// adversarial schedulers are excluded (O(states^2) per step makes them a
+/// small-n tool; bench_adversarial covers them).
 std::vector<SchedulerSpec> standard_scheduler_menu();
 
 /// One spec per registered scheduler variant — the standard menu plus all

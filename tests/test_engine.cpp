@@ -222,6 +222,22 @@ TEST(Engine, ParallelTimeIsCensoredAtBudget) {
                    static_cast<double>(r.interactions) / 64.0);
 }
 
+TEST(Engine, LargeNBudgetCappedRunIsCheap) {
+  // Per-event cost is independent of n: a 10^6-agent run on a 5n
+  // interaction budget is a handful of productive events, and the null
+  // gap that crosses the budget is clamped to it exactly.
+  const u64 n = 1000000;
+  AgProtocol p(n);
+  Rng rng(13);
+  p.reset(initial::uniform_random(p, rng));
+  RunOptions opt;
+  opt.max_interactions = 5 * n;
+  const RunResult r = run_accelerated(p, rng, opt);
+  EXPECT_EQ(r.interactions, 5 * n);
+  EXPECT_FALSE(r.silent);
+  EXPECT_GE(r.interactions, r.productive_steps);
+}
+
 TEST(Engine, EveryProtocolAgreesOnSilenceEqualsValidRanking) {
   for (const auto name : protocol_names()) {
     const u64 n = preferred_population(name, 80);

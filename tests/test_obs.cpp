@@ -387,6 +387,17 @@ TEST(ObsProvenance, SpecKvRoundTripsForEveryRegisteredScheduler) {
   }
 }
 
+// The scheduler kind travels by name, so a kv naming a kind this build
+// does not have, or written with the kind's old enum integer, fails
+// loudly instead of replaying as whichever kind now holds that number.
+TEST(ObsProvenance, UnknownOrNumericSchedulerKindIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(obs::spec_from_kv("protocol=ag;n=48;sched.kind=hybrid;"),
+               "unknown sched.kind");
+  EXPECT_DEATH(obs::spec_from_kv("protocol=ag;n=48;sched.kind=4;"),
+               "unknown sched.kind");
+}
+
 TEST(ObsProvenance, CustomFactoriesAndInitsAreHonestlyNonReplayable) {
   TrialSpec spec;
   spec.protocol = "ag";

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -38,13 +39,26 @@ namespace {
 
 // ---- helpers -------------------------------------------------------------
 
-std::string fresh_dir(const std::string& tag) {
+// A fresh poprank_<tag>_XXXXXX directory under TempDir(), removed with
+// its chunk files when the holder goes out of scope.
+struct ScopedDir {
+  std::string path;
+  explicit ScopedDir(std::string p) : path(std::move(p)) {}
+  ScopedDir(const ScopedDir&) = delete;
+  ScopedDir& operator=(const ScopedDir&) = delete;
+  ~ScopedDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
+ScopedDir fresh_dir(const std::string& tag) {
   std::string templ = ::testing::TempDir() + "poprank_" + tag + "_XXXXXX";
   std::vector<char> buf(templ.begin(), templ.end());
   buf.push_back('\0');
   const char* made = mkdtemp(buf.data());
   EXPECT_NE(made, nullptr);
-  return std::string(buf.data());
+  return ScopedDir(std::string(buf.data()));
 }
 
 std::vector<std::string> list_dir(const std::string& path) {
@@ -247,19 +261,19 @@ TEST(ChunkCache, PartitionCoversTrialSpace) {
 }
 
 TEST(ChunkCache, HitMissStale) {
-  const std::string dir = fresh_dir("chunks");
+  const ScopedDir dir = fresh_dir("chunks");
   const TrialSpec spec = small_spec("svc-cache");
   const service::ChunkSpec chunk{0, 0, 4};
   const std::string material = service::chunk_key_material(spec, 99, chunk);
 
   // Miss: nothing stored yet.
-  EXPECT_EQ(service::load_chunk(dir, material, chunk).status,
+  EXPECT_EQ(service::load_chunk(dir.path, material, chunk).status,
             service::CacheProbe::kMiss);
 
   // Hit: store, load, records round-trip exactly.
   const TrialRange range = serial_range(spec, 99, 0, 4);
-  ASSERT_NE(service::store_chunk(dir, material, chunk, range), "");
-  service::ChunkLoad load = service::load_chunk(dir, material, chunk);
+  ASSERT_NE(service::store_chunk(dir.path, material, chunk, range), "");
+  service::ChunkLoad load = service::load_chunk(dir.path, material, chunk);
   ASSERT_EQ(load.status, service::CacheProbe::kHit);
   expect_records_identical(range.records, load.range.records);
   EXPECT_TRUE(obs::CounterBlock::deterministic_equal(range.counters,
@@ -273,41 +287,41 @@ TEST(ChunkCache, HitMissStale) {
       service::chunk_key_material(other, 99, chunk);
   EXPECT_NE(service::chunk_file_name(material),
             service::chunk_file_name(other_material));
-  EXPECT_EQ(service::load_chunk(dir, other_material, chunk).status,
+  EXPECT_EQ(service::load_chunk(dir.path, other_material, chunk).status,
             service::CacheProbe::kMiss);
 
   // Stale: a torn/corrupt file at the keyed path fails verification.
-  write_file_atomic(dir + "/" + service::chunk_file_name(material),
+  write_file_atomic(dir.path + "/" + service::chunk_file_name(material),
                     "poprank-chunk-v2\nkey " + material + "\ntorn");
-  EXPECT_EQ(service::load_chunk(dir, material, chunk).status,
+  EXPECT_EQ(service::load_chunk(dir.path, material, chunk).status,
             service::CacheProbe::kStale);
 }
 
 // Threads of one process storing the same chunk at once each write their
 // own temp file, so every store lands whole and none leaves debris.
 TEST(ChunkCache, ConcurrentStoresOfOneChunk) {
-  const std::string dir = fresh_dir("concurrent");
+  const ScopedDir dir = fresh_dir("concurrent");
   const TrialSpec spec = small_spec("svc-concurrent");
   const service::ChunkSpec chunk{0, 0, 6};
   const std::string material = service::chunk_key_material(spec, 5, chunk);
   const TrialRange range = serial_range(spec, 5, 0, 6);
   const std::string final_path =
-      dir + "/" + service::chunk_file_name(material);
+      dir.path + "/" + service::chunk_file_name(material);
 
   std::vector<std::string> paths(8);
   std::vector<std::thread> writers;
   for (u64 i = 0; i < paths.size(); ++i) {
     writers.emplace_back([&, i] {
-      paths[i] = service::store_chunk(dir, material, chunk, range);
+      paths[i] = service::store_chunk(dir.path, material, chunk, range);
     });
   }
   for (std::thread& w : writers) w.join();
 
   for (const std::string& p : paths) EXPECT_EQ(p, final_path);
-  service::ChunkLoad load = service::load_chunk(dir, material, chunk);
+  service::ChunkLoad load = service::load_chunk(dir.path, material, chunk);
   ASSERT_EQ(load.status, service::CacheProbe::kHit);
   expect_records_identical(range.records, load.range.records);
-  EXPECT_EQ(list_dir(dir),
+  EXPECT_EQ(list_dir(dir.path),
             std::vector<std::string>{service::chunk_file_name(material)});
 }
 
@@ -356,15 +370,15 @@ TEST(ChunkCache, BehaviourFingerprintIsStableAcrossCallsAndThreads) {
   }
 
   // A cache filled from a 1-thread pool is all hits from a 4-thread one.
-  const std::string cache_dir = fresh_dir("svcfp");
+  const ScopedDir cache_dir = fresh_dir("svcfp");
   const RunnerOptions opt = small_options(3);  // 3 chunks of one trial
   service::ServiceReport rep;
   ThreadPool one(1), four(4);
   const TrialSet cold =
-      service::run_trials_cached(spec, opt, cache_dir, one, &rep);
+      service::run_trials_cached(spec, opt, cache_dir.path, one, &rep);
   EXPECT_EQ(rep.cache_misses, 3u);
   const TrialSet warm =
-      service::run_trials_cached(spec, opt, cache_dir, four, &rep);
+      service::run_trials_cached(spec, opt, cache_dir.path, four, &rep);
   EXPECT_EQ(rep.cache_hits, 3u);
   EXPECT_EQ(rep.cache_misses, 0u);
   expect_sets_identical(cold, warm);
@@ -380,8 +394,8 @@ TEST(ChunkCache, OlderFormatKeysMissAndRecompute) {
   const RunnerOptions opt = small_options(3);  // 3 chunks of one trial
   const TrialSet base = run_trials(spec, opt);
 
-  const std::string cache_dir = fresh_dir("svcold");
-  const std::string chunks_dir = cache_dir + "/chunks";
+  const ScopedDir cache_dir = fresh_dir("svcold");
+  const std::string chunks_dir = cache_dir.path + "/chunks";
   make_dirs(chunks_dir);
   char fingerprint[24];
   std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
@@ -412,7 +426,7 @@ TEST(ChunkCache, OlderFormatKeysMissAndRecompute) {
   ThreadPool pool(2);
   service::ServiceReport rep;
   const TrialSet cold =
-      service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
+      service::run_trials_cached(spec, opt, cache_dir.path, pool, &rep);
   EXPECT_EQ(rep.chunks, 3u);
   EXPECT_EQ(rep.cache_hits, 0u);
   EXPECT_EQ(rep.cache_stale, 0u);
@@ -420,7 +434,7 @@ TEST(ChunkCache, OlderFormatKeysMissAndRecompute) {
   expect_sets_identical(base, cold);
 
   const TrialSet warm =
-      service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
+      service::run_trials_cached(spec, opt, cache_dir.path, pool, &rep);
   EXPECT_EQ(rep.cache_hits, 3u);
   expect_sets_identical(base, warm);
 }
@@ -432,11 +446,11 @@ TEST(ChunkCache, TruncatedOrFlippedChunkIsStale) {
   const TrialSpec spec = small_spec("svc-checksum");
   const RunnerOptions opt = small_options(3);  // 3 chunks of one trial
   const TrialSet base = run_trials(spec, opt);
-  const std::string cache_dir = fresh_dir("svcsum");
+  const ScopedDir cache_dir = fresh_dir("svcsum");
   ThreadPool pool(2);
-  service::run_trials_cached(spec, opt, cache_dir, pool);
+  service::run_trials_cached(spec, opt, cache_dir.path, pool);
 
-  const std::string chunks_dir = cache_dir + "/chunks";
+  const std::string chunks_dir = cache_dir.path + "/chunks";
   const service::ChunkSpec chunk{0, 0, 1};
   const std::string material =
       service::chunk_key_material(spec, opt.master_seed, chunk);
@@ -478,7 +492,7 @@ TEST(ChunkCache, TruncatedOrFlippedChunkIsStale) {
   ASSERT_EQ(probe(edited), service::CacheProbe::kStale);
   service::ServiceReport rep;
   const TrialSet rerun =
-      service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
+      service::run_trials_cached(spec, opt, cache_dir.path, pool, &rep);
   EXPECT_EQ(rep.cache_stale, 1u);
   EXPECT_EQ(rep.cache_hits, 2u);
   expect_sets_identical(base, rerun);
@@ -497,12 +511,12 @@ TEST(Service, CachedRunsBitIdenticalOnAnyPool) {
 
   for (const u64 threads : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(threads);
-    const std::string cache_dir = fresh_dir("svc0t" + std::to_string(threads));
+    const ScopedDir cache_dir = fresh_dir("svc0t" + std::to_string(threads));
 
     // Cold: every chunk misses and is computed on the pool.
     service::ServiceReport rep;
     const TrialSet cold =
-        service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
+        service::run_trials_cached(spec, opt, cache_dir.path, pool, &rep);
     expect_sets_identical(base, cold);
     EXPECT_EQ(base_trials, render_trial_rows(spec, cold)) << threads;
     EXPECT_EQ(base_aggregate, render_aggregate_rows(spec, cold)) << threads;
@@ -514,7 +528,7 @@ TEST(Service, CachedRunsBitIdenticalOnAnyPool) {
 
     // Second invocation: pure cache, zero computation, same bits.
     const TrialSet warm =
-        service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
+        service::run_trials_cached(spec, opt, cache_dir.path, pool, &rep);
     expect_sets_identical(base, warm);
     EXPECT_EQ(base_trials, render_trial_rows(spec, warm)) << threads;
     EXPECT_EQ(base_aggregate, render_aggregate_rows(spec, warm)) << threads;
@@ -524,7 +538,7 @@ TEST(Service, CachedRunsBitIdenticalOnAnyPool) {
 
     // A different master seed keys different chunks: misses again.
     const RunnerOptions reseeded = small_options(24, 777);
-    service::run_trials_cached(spec, reseeded, cache_dir, pool, &rep);
+    service::run_trials_cached(spec, reseeded, cache_dir.path, pool, &rep);
     EXPECT_EQ(rep.cache_misses, 12u);
   }
 }
@@ -532,16 +546,16 @@ TEST(Service, CachedRunsBitIdenticalOnAnyPool) {
 TEST(Service, SecondInvocationIsAllHits) {
   const TrialSpec spec = small_spec("svc-rerun");
   const RunnerOptions opt = small_options(20);  // 10 chunks of two trials
-  const std::string cache_dir = fresh_dir("svcrerun");
+  const ScopedDir cache_dir = fresh_dir("svcrerun");
 
   ThreadPool pool(2);
   service::ServiceReport rep;
   const TrialSet first =
-      service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
+      service::run_trials_cached(spec, opt, cache_dir.path, pool, &rep);
   EXPECT_EQ(rep.cache_misses, 10u);
 
   const TrialSet second =
-      service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
+      service::run_trials_cached(spec, opt, cache_dir.path, pool, &rep);
   expect_sets_identical(first, second);
   EXPECT_EQ(rep.cache_hits, 10u);
   EXPECT_EQ(rep.cache_misses, 0u);
@@ -551,22 +565,22 @@ TEST(Service, SecondInvocationIsAllHits) {
 TEST(Service, StaleChunkIsRecomputed) {
   const TrialSpec spec = small_spec("svc-stale");
   const RunnerOptions opt = small_options(20);  // 10 chunks of two trials
-  const std::string cache_dir = fresh_dir("svcstale");
+  const ScopedDir cache_dir = fresh_dir("svcstale");
 
   // The recompute runs over a multi-thread pool.
   ThreadPool pool(4);
   service::ServiceReport rep;
   const TrialSet first =
-      service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
+      service::run_trials_cached(spec, opt, cache_dir.path, pool, &rep);
 
   // Corrupt one cached chunk in place (a torn write).
-  const std::string chunks_dir = cache_dir + "/chunks";
+  const std::string chunks_dir = cache_dir.path + "/chunks";
   const std::vector<std::string> files = list_dir(chunks_dir);
   ASSERT_EQ(files.size(), 10u);
   write_file_atomic(chunks_dir + "/" + files[0], "poprank-chunk-v2\ntorn");
 
   const TrialSet second =
-      service::run_trials_cached(spec, opt, cache_dir, pool, &rep);
+      service::run_trials_cached(spec, opt, cache_dir.path, pool, &rep);
   expect_sets_identical(first, second);
   EXPECT_EQ(rep.cache_stale, 1u);
   EXPECT_EQ(rep.cache_hits, 9u);
@@ -584,8 +598,9 @@ TEST(Service, NonReplayableSpecFallsBackInProcess) {
 
   ThreadPool pool(3);
   service::ServiceReport rep;
+  const ScopedDir cache_dir = fresh_dir("svcfb");
   const TrialSet fell_back =
-      service::run_trials_cached(spec, opt, fresh_dir("svcfb"), pool, &rep);
+      service::run_trials_cached(spec, opt, cache_dir.path, pool, &rep);
   expect_records_identical(base.records, fell_back.records);
   EXPECT_EQ(fell_back.threads, pool.size());
   EXPECT_TRUE(rep.fallback_in_process);
